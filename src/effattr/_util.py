@@ -30,6 +30,5 @@ def assignment_id(assignment: dict[str, str]) -> str:
 
 def derive_seed(*parts: object) -> int:
     """Deterministic 64-bit seed from an arbitrary tuple of parts."""
-    joined = _SEP.join(str(p) for p in parts)
-    raw = hashlib.sha256(joined.encode("utf-8")).digest()
+    raw = hashlib.sha256(_SEP.join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(raw[:8], "big")

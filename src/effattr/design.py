@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -87,9 +88,14 @@ class DesignPlan:
             ],
         }
 
+    @cached_property
+    def plan_digest(self) -> str:
+        return digest(self.to_dict())
+
 
 def plan_digest(plan: DesignPlan) -> str:
-    return digest(plan.to_dict())
+    """Digest of the plan's canonical form; serialized once per plan object."""
+    return plan.plan_digest
 
 
 def plan_to_json(plan: DesignPlan) -> str:
@@ -136,6 +142,11 @@ def load_plan(path: str | Path) -> DesignPlan:
     return plan_from_json(Path(path).read_text(encoding="utf-8"))
 
 
+def require_replicates(r: int) -> None:
+    if r < 1:
+        raise PlanError("replicate count r must be >= 1")
+
+
 def _trial_seed(master_seed: int, config: Configuration, replicate: int) -> int:
     # Keyed by configuration id so reproducibility is schedule-independent.
     return derive_seed(master_seed, config.id, replicate)
@@ -151,8 +162,7 @@ def full_factorial(
     budget: int = DEFAULT_TRIAL_BUDGET,
 ) -> DesignPlan:
     """One trial per (valid configuration, replicate) over all factors."""
-    if r < 1:
-        raise PlanError("replicate count r must be >= 1")
+    require_replicates(r)
     n_configs = space.cartesian_size()
     if n_configs * r > budget:
         raise PlanError(f"budget exceeded: {n_configs * r} trials > budget {budget}")
@@ -177,7 +187,7 @@ def full_factorial(
 # -- 2^k r factorial ------------------------------------------------------
 
 
-def _validate_split(space: ConfigSpace, split: Mapping[str, Any], stratify: str | None) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+def validate_split(space: ConfigSpace, split: Mapping[str, Any], stratify: str | None) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
     normalized: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     for fname, blocks in split.items():
         factor = space.factor(fname)
@@ -209,21 +219,17 @@ def _validate_split(space: ConfigSpace, split: Mapping[str, Any], stratify: str 
     return normalized
 
 
-def factorial_2kr(
+def draw_2kr(
     space: ConfigSpace,
-    split: Mapping[str, Any],
-    r: int,
+    blocks: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]],
     seed: int,
     stratify: str | None = None,
-) -> DesignPlan:
-    """2^k cells with one level drawn per factor interval, r replicates each.
+) -> list[dict[str, str]]:
+    """The chosen total assignment of every 2^k cell, strata outermost.
 
-    With ``stratify`` set, a full 2^k sub-design is built for every level of
-    that factor (the per-stratum variant), giving levels x 2^k cells.
+    ``blocks`` is the output of ``validate_split``. Each cell draws one
+    level per split factor from its block, redrawing excluded combinations.
     """
-    if r < 1:
-        raise PlanError("replicate count r must be >= 1")
-    blocks = _validate_split(space, split, stratify)
     split_factors = [f for f in space.factors if f.name in blocks]
     pinned = {
         f.name: f.labels()[0]
@@ -237,12 +243,9 @@ def factorial_2kr(
     else:
         sfactor = space.factor(stratify)
         strata = [(lab, {stratify: lab}) for lab in sfactor.labels()]
-
-    trials = []
-    cells = 0
+    cells = []
     for stratum_label, stratum_assignment in strata:
         for cell_index in range(2**k):
-            chosen: Configuration | None = None
             for attempt in range(_2KR_MAX_REDRAWS):
                 rng = random.Random(derive_seed(seed, "2kr", stratum_label, cell_index, attempt))
                 assignment = dict(pinned)
@@ -251,22 +254,40 @@ def factorial_2kr(
                     interval = blocks[factor.name][(cell_index >> bit) & 1]
                     assignment[factor.name] = rng.choice(interval)
                 if space.is_valid(assignment):
-                    chosen = Configuration(assignment)
+                    cells.append(assignment)
                     break
-            if chosen is None:
+            else:
                 where = f" (stratum {stratum_label!r})" if stratum_label else ""
                 raise PlanError(
                     f"2^k cell {cell_index}{where}: no valid draw after {_2KR_MAX_REDRAWS} retries"
                 )
-            cells += 1
-            for rep in range(r):
-                trials.append(
-                    Trial(config=chosen, replicate=rep, seed=_trial_seed(seed, chosen, rep))
-                )
+    return cells
+
+
+def factorial_2kr(
+    space: ConfigSpace,
+    split: Mapping[str, Any],
+    r: int,
+    seed: int,
+    stratify: str | None = None,
+) -> DesignPlan:
+    """2^k cells with one level drawn per factor interval, r replicates each.
+
+    With ``stratify`` set, a full 2^k sub-design is built for every level of
+    that factor (the per-stratum variant), giving levels x 2^k cells.
+    """
+    require_replicates(r)
+    blocks = validate_split(space, split, stratify)
+    cells = draw_2kr(space, blocks, seed, stratify)
+    trials = []
+    for assignment in cells:
+        chosen = Configuration(assignment)
+        for rep in range(r):
+            trials.append(Trial(config=chosen, replicate=rep, seed=_trial_seed(seed, chosen, rep)))
     metadata = {
-        "cost": cells,
-        "k": k,
-        "cells": cells,
+        "cost": len(cells),
+        "k": len(blocks),
+        "cells": len(cells),
         "stratify": stratify,
         "split": {fname: {"low": list(lo), "high": list(hi)} for fname, (lo, hi) in blocks.items()},
     }
@@ -281,63 +302,50 @@ def factorial_2kr(
 
 
 # -- sampling -------------------------------------------------------------
+#
+# The index-level cores draw positions into ``space.pool(roles)``; the
+# public samplers map them to configurations, and meta-evaluation uses the
+# positions directly.
 
 
-def _sampling_pool(
-    space: ConfigSpace, roles: Iterable[str], budget: int
-) -> tuple[tuple[Configuration, ...], tuple[float, ...]]:
-    """Enumerated configurations and their product weights, cached per space.
-
-    Sampling is called once per iteration in meta-evaluation loops, so the
-    enumeration must not be redone each time. The cache lives on the space
-    object itself (spaces are immutable after load).
-    """
-    key = tuple(sorted(set(roles)))
-    cache = getattr(space, "_pool_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(space, "_pool_cache", cache)
-    if key not in cache:
-        factor_weights = {f.name: f.normalized_weights() for f in space.factors}
-        configs = tuple(space.enumerate_configs(key, budget=budget))
-        weights = []
-        for cfg in configs:
-            w = 1.0
-            for fname, label in cfg.assignment.items():
-                w *= factor_weights[fname][label]
-            weights.append(w)
-        cache[key] = (configs, tuple(weights))
-    return cache[key]
-
-
-def _weighted_sample(
-    configs: Sequence[Configuration],
-    weights: Sequence[float],
-    n: int,
-    rng: random.Random,
-) -> list[Configuration]:
+def _weighted_indices(weights: Sequence[float], n: int, rng: random.Random) -> list[int]:
     # Exponential-keys (log u / w) selection: distribution-identical to
     # sequential weighted draws without replacement; uniform weights reduce
-    # to an equiprobable subset.
+    # to an equiprobable subset. One u per weight, in order; a zero u is
+    # redrawn, which shifts the later draws by one.
     if n == 0:
         return []
-    keyed = []
-    positive = 0
-    for idx, w in enumerate(weights):
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        if w > 0:
-            keyed.append((math.log(u) / w, idx))
-            positive += 1
-        else:
-            keyed.append((-math.inf, idx))
+    rand = rng.random
+    us = [rand() for _ in weights]
+    while 0.0 in us:
+        del us[us.index(0.0)]
+        us.append(rand())
+    positive = sum(1 for w in weights if w > 0)
     if n > positive:
         raise PlanError(
             f"cannot sample {n} configurations: only {positive} have positive weight"
         )
-    keyed.sort(key=lambda t: (-t[0], t[1]))
-    return [configs[idx] for _, idx in keyed[:n]]
+    log, inf = math.log, math.inf
+    keys = [log(u) / w if w > 0 else -inf for u, w in zip(us, weights)]
+    # Largest key first, ties in position order (the sort is stable).
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)[:n]
+
+
+def sample_indices(
+    space: ConfigSpace,
+    roles: Iterable[str],
+    n: int,
+    seed: int,
+    budget: int = DEFAULT_TRIAL_BUDGET,
+) -> list[int]:
+    """Positions in ``space.pool(roles)`` of a simple random sample."""
+    if n < 0:
+        raise PlanError("sample size must be >= 0")
+    pool = space.pool(roles, budget)
+    if n > len(pool.configs):
+        raise PlanError(f"sample size {n} exceeds space size {len(pool.configs)}")
+    rng = random.Random(derive_seed(seed, "srs"))
+    return _weighted_indices(pool.weights, n, rng)
 
 
 def simple_random_sample(
@@ -352,13 +360,43 @@ def simple_random_sample(
     Level weights (normalized per factor) act as sequential draw weights;
     uniform weights make every size-n subset equiprobable.
     """
-    if n < 0:
-        raise PlanError("sample size must be >= 0")
-    configs, weights = _sampling_pool(space, roles, budget)
-    if n > len(configs):
-        raise PlanError(f"sample size {n} exceeds space size {len(configs)}")
-    rng = random.Random(derive_seed(seed, "srs"))
-    return _weighted_sample(configs, weights, n, rng)
+    roles = tuple(roles)
+    idx = sample_indices(space, roles, n, seed, budget)
+    configs = space.pool(roles, budget).configs
+    return [configs[i] for i in idx]
+
+
+def stratified_indices(
+    space: ConfigSpace,
+    stratum_factor: str,
+    n: int,
+    seed: int,
+    budget: int = DEFAULT_TRIAL_BUDGET,
+) -> list[int]:
+    """Positions in ``space.pool((ROLE_DC,))`` of a stratified sample."""
+    factor = space.factor(stratum_factor)
+    if not factor.stratum:
+        raise PlanError(f"factor {stratum_factor!r} is not marked as a stratum")
+    if factor.role != ROLE_DC:
+        raise PlanError(f"stratum factor {stratum_factor!r} must have role DC")
+    labels = factor.labels()
+    if n < len(labels):
+        raise PlanError(f"sample size {n} is below the number of strata {len(labels)}")
+    base, rem = divmod(n, len(labels))
+    rng = random.Random(derive_seed(seed, "strata"))
+    extra = set(rng.sample(range(len(labels)), rem))
+    strata = space.pool((ROLE_DC,), budget).strata(stratum_factor)
+    out: list[int] = []
+    for i, lab in enumerate(labels):
+        alloc = base + (1 if i in extra else 0)
+        members, member_weights = strata.get(lab, ((), ()))
+        if alloc > len(members):
+            raise PlanError(
+                f"stratum {lab!r}: allocation {alloc} exceeds its {len(members)} valid configurations"
+            )
+        stratum_rng = random.Random(derive_seed(seed, "stratum", lab))
+        out.extend(members[j] for j in _weighted_indices(member_weights, alloc, stratum_rng))
+    return out
 
 
 def stratified_sample(
@@ -374,39 +412,25 @@ def stratified_sample(
     seeded draw. Within a stratum, draws are simple random without
     replacement.
     """
-    factor = space.factor(stratum_factor)
-    if not factor.stratum:
-        raise PlanError(f"factor {stratum_factor!r} is not marked as a stratum")
-    if factor.role != ROLE_DC:
-        raise PlanError(f"stratum factor {stratum_factor!r} must have role DC")
-    labels = factor.labels()
-    if n < len(labels):
-        raise PlanError(f"sample size {n} is below the number of strata {len(labels)}")
-    base, rem = divmod(n, len(labels))
-    rng = random.Random(derive_seed(seed, "strata"))
-    extra = set(rng.sample(range(len(labels)), rem))
-    configs, weights = _sampling_pool(space, (ROLE_DC,), budget)
-    by_stratum: dict[str, tuple[list[Configuration], list[float]]] = {
-        lab: ([], []) for lab in labels
-    }
-    for cfg, w in zip(configs, weights):
-        members, member_weights = by_stratum[cfg.assignment[stratum_factor]]
-        members.append(cfg)
-        member_weights.append(w)
-    out: list[Configuration] = []
-    for i, lab in enumerate(labels):
-        alloc = base + (1 if i in extra else 0)
-        members, member_weights = by_stratum[lab]
-        if alloc > len(members):
-            raise PlanError(
-                f"stratum {lab!r}: allocation {alloc} exceeds its {len(members)} valid configurations"
-            )
-        stratum_rng = random.Random(derive_seed(seed, "stratum", lab))
-        out.extend(_weighted_sample(members, member_weights, alloc, stratum_rng))
-    return out
+    idx = stratified_indices(space, stratum_factor, n, seed, budget)
+    configs = space.pool((ROLE_DC,), budget).configs
+    return [configs[i] for i in idx]
 
 
 # -- randomized control/treatment -----------------------------------------
+
+
+def rct_indices(
+    space: ConfigSpace, n: int, seed: int, budget: int = DEFAULT_TRIAL_BUDGET
+) -> tuple[list[int], list[int]]:
+    """Positions in ``space.pool((ROLE_DC,))`` of the control and treatment arms."""
+    if n % 2 != 0:
+        raise PlanError(f"rct sample size must be even, got {n}")
+    sample = sample_indices(space, (ROLE_DC,), n, seed=derive_seed(seed, "rct-sample"), budget=budget)
+    rng = random.Random(derive_seed(seed, "rct-shuffle"))
+    rng.shuffle(sample)
+    half = n // 2
+    return sample[:half], sample[half:]
 
 
 def rct_plan(
@@ -419,23 +443,19 @@ def rct_plan(
     budget: int = DEFAULT_TRIAL_BUDGET,
 ) -> DesignPlan:
     """Split n sampled DC configurations 1:1 into control and treatment arms."""
-    if r < 1:
-        raise PlanError("replicate count r must be >= 1")
-    if n % 2 != 0:
-        raise PlanError(f"rct sample size must be even, got {n}")
+    require_replicates(r)
     cui = space.cui_factor
     for lab in (cui_control, cui_treatment):
         cui.level(lab)
-    sample = simple_random_sample(space, (ROLE_DC,), n, seed=derive_seed(seed, "rct-sample"), budget=budget)
-    rng = random.Random(derive_seed(seed, "rct-shuffle"))
-    rng.shuffle(sample)
-    half = n // 2
+    control, treatment = rct_indices(space, n, seed, budget)
+    configs = space.pool((ROLE_DC,), budget).configs
     trials = []
-    for group, cui_label, dcs in (
-        (GROUP_CONTROL, cui_control, sample[:half]),
-        (GROUP_TREATMENT, cui_treatment, sample[half:]),
+    for group, cui_label, arm in (
+        (GROUP_CONTROL, cui_control, control),
+        (GROUP_TREATMENT, cui_treatment, treatment),
     ):
-        for dc in dcs:
+        for i in arm:
+            dc = configs[i]
             cfg = dc.extended({cui.name: cui_label})
             if not space.is_valid(cfg.assignment):
                 raise PlanError(
@@ -473,8 +493,7 @@ def paired_plan(
     ``stratum`` records how the sample was stratified; it is audit metadata
     only (the sample itself is taken by the caller).
     """
-    if r < 1:
-        raise PlanError("replicate count r must be >= 1")
+    require_replicates(r)
     if len({dc.id for dc in dc_sample}) != len(dc_sample):
         raise PlanError("dc_sample contains duplicate configurations; pair ids must be unique")
     trials = []

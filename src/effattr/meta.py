@@ -1,17 +1,20 @@
 """Meta-evaluation: how well does each methodology recover a known effect?
 
 A scenario bundles a space, a synthetic model with a computable true
-effect, and a list of method rows. For each row the sampling, planning,
-running, and inference pipeline is repeated over seeded iterations; the
+effect, and a list of method rows. For each row the sampling, synthetic
+run and inference of the method are repeated over seeded iterations; the
 fraction of confidence intervals that contain the true effect is the
-accuracy, and the configuration count is the cost.
+accuracy, and the configuration count is the cost. Iterations read a
+per-scenario table rather than building plans and run logs, and give the
+estimates the plan -> run -> analyze pipeline would.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -19,24 +22,25 @@ from ._util import derive_seed
 from .design import (
     DesignPlan,
     PlanError,
-    factorial_2kr,
-    paired_plan,
-    rct_plan,
-    simple_random_sample,
-    stratified_sample,
+    draw_2kr,
+    paired_plan,  # noqa: F401  bench/test_bench.py checks its tracing through meta
+    rct_indices,
+    require_replicates,
+    sample_indices,
+    stratified_indices,
+    validate_split,
 )
 from .model import ModelError, SyntheticModel, load_model
-from .runner import RunLog, SyntheticBackend, collapse, new_log, run
+from .runner import RunLog, aggregate, collapse
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError, load_space
 from .stats import (
+    DiffSample,
     EffectEstimate,
     StatsError,
-    VERDICT_FAIL_TO_REJECT,
-    VERDICT_REJECT,
-    ate,
-    paired_effect,
+    factorial_contrast,
+    one_sample_ttest,
     sample_mean,
-    t_quantile,
+    welch_estimate,
 )
 
 METHOD_KINDS = ("paired", "rct", "factorial_2kr")
@@ -91,6 +95,64 @@ class Scenario:
         for m in self.methods:
             if m.kind not in METHOD_KINDS:
                 raise ScenarioError(f"unknown method kind {m.kind!r}")
+
+    @cached_property
+    def truth(self) -> float:
+        """Noise-free true effect difference under the declared DC weights."""
+        return self.model.closed_form_delta(self.space, self.cui_a, self.cui_ref)
+
+    @cached_property
+    def table(self) -> "ScenarioTable":
+        return ScenarioTable(self)
+
+
+class ScenarioTable:
+    """What the meta iterations read instead of plans and logs.
+
+    The space's DC pool (configurations in enumeration order, product
+    weights, stratum membership) and, per CUI level, each DC
+    configuration's completion as (id, noise-free response), or None where
+    the completion is excluded. Columns for the two levels under study are
+    filled on construction; other levels (a 2^k r split may draw them) on
+    first use.
+    """
+
+    def __init__(self, scenario: "Scenario"):
+        self.space, self.model = scenario.space, scenario.model
+        self.pool = self.space.pool((ROLE_DC,))
+        self.dc_names = tuple(f.name for f in self.space.factors if f.role == ROLE_DC)
+        self.index = {
+            tuple(cfg.assignment[f] for f in self.dc_names): i
+            for i, cfg in enumerate(self.pool.configs)
+        }
+        self._columns: dict[str, tuple[tuple[str, float] | None, ...]] = {}
+        for level in (scenario.cui_a, scenario.cui_ref):
+            self.column(level)
+        for m in scenario.methods:
+            if m.kind == "paired" and m.stratify in self.dc_names:
+                self.pool.strata(m.stratify)
+
+    def column(self, cui_level: str) -> tuple[tuple[str, float] | None, ...]:
+        if cui_level not in self._columns:
+            self._columns[cui_level] = self.model.completions(
+                self.space, self.pool.configs, cui_level
+            )
+        return self._columns[cui_level]
+
+    def replicates(self, completion: tuple[str, float], r: int, seed: int) -> list[float]:
+        """The r values a synthetic run logs for one configuration.
+
+        Same per-trial seed and noise draw as ``SyntheticBackend.measure``;
+        without noise the seeds are unused and not derived.
+        """
+        cid, response = completion
+        sd = self.model.noise_sd
+        if sd == 0:
+            return [response] * r
+        return [
+            response + random.Random(derive_seed(seed, cid, rep)).gauss(0.0, sd)
+            for rep in range(r)
+        ]
 
 
 @dataclass(frozen=True)
@@ -193,8 +255,12 @@ def load_scenario_file(path: str | Path) -> Scenario:
 
 
 def ground_truth(scenario: Scenario) -> float:
-    """Noise-free true effect difference under the declared DC weights."""
-    return scenario.model.closed_form_delta(scenario.space, scenario.cui_a, scenario.cui_ref)
+    """Noise-free true effect difference under the declared DC weights.
+
+    Computed in closed form, independently of the meta table, once per
+    scenario.
+    """
+    return scenario.truth
 
 
 # -- accuracy vs cost ----------------------------------------------------------
@@ -229,96 +295,113 @@ def _default_split(scenario: Scenario, method: MethodSpec) -> dict[str, Any]:
 def _factorial_estimate(
     scenario: Scenario, plan: DesignPlan, log: RunLog
 ) -> EffectEstimate:
-    """CUI contrast of a 2^k r design with its replication-based error.
-
-    delta = mean(high cells) - mean(low cells); the standard error comes
-    from the pooled within-cell replicate variance.
-    """
-    r = plan.r
-    if r < 2:
-        raise ScenarioError("factorial_2kr accuracy requires r >= 2 for a replication error term")
+    """CUI contrast of a run 2^k r plan; see ``stats.factorial_contrast``."""
     cui = scenario.space.cui_factor.name
-    high = set(plan.metadata["split"][cui]["high"])
+    high = set(plan.metadata["split"].get(cui, {}).get("high", ()))
+    is_high = {t.config.id: t.config.assignment[cui] in high for t in plan.trials}
     by_config: dict[str, list[float]] = {}
-    arm_of: dict[str, str] = {}
-    for trial in plan.trials:
-        arm_of[trial.config.id] = "high" if trial.config.assignment[cui] in high else "low"
     for m in log.records:
         if m.status != "ok":
             raise ScenarioError("factorial_2kr accuracy: log contains failed measurements")
         by_config.setdefault(m.config_id, []).append(m.value)  # type: ignore[arg-type]
-    cells: dict[str, list[list[float]]] = {"high": [], "low": []}
-    for cid, values in by_config.items():
-        cells[arm_of[cid]].append(values)
-    n_high = len(cells["high"])
-    n_low = len(cells["low"])
-    if n_high == 0 or n_low == 0:
-        raise ScenarioError("factorial_2kr accuracy: a contrast side has no cells")
-    mean_high = sample_mean([v for cell in cells["high"] for v in cell])
-    mean_low = sample_mean([v for cell in cells["low"] for v in cell])
-    delta = mean_high - mean_low
-    within = math.fsum(
-        (v - sample_mean(cell)) ** 2
-        for side in cells.values()
-        for cell in side
-        for v in cell
-    )
-    df = (n_high + n_low) * (r - 1)
-    s2 = within / df
-    se = math.sqrt(s2 * (1.0 / (n_high * r) + 1.0 / (n_low * r)))
-    alpha = scenario.alpha
-    t_crit = t_quantile(alpha / 2.0, df)
-    if se == 0.0:
-        t_val = 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
-        ci = (delta, delta)
-    else:
-        t_val = delta / se
-        ci = (delta - t_crit * se, delta + t_crit * se)
-    verdict = VERDICT_REJECT if abs(t_val) >= t_crit else VERDICT_FAIL_TO_REJECT
-    n = (n_high + n_low) * r
-    return EffectEstimate(
-        delta_e=delta,
-        n=n,
-        s=se * math.sqrt(n),
-        alpha=alpha,
-        mu0=0.0,
-        t_value=t_val,
-        t_critical=t_crit,
-        df=df,
-        ci=ci,
-        verdict=verdict,
+    return factorial_contrast(
+        [v for cid, v in by_config.items() if is_high[cid]],
+        [v for cid, v in by_config.items() if not is_high[cid]],
+        plan.r,
+        alpha=scenario.alpha,
         unit=log.header.unit,
     )
+
+
+def _paired_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> EffectEstimate:
+    space, table = scenario.space, scenario.table
+    if method.stratify:
+        idx = stratified_indices(space, method.stratify, method.n, seed)
+    else:
+        idx = sample_indices(space, (ROLE_DC,), method.n, seed)
+    require_replicates(method.r)
+    col_a, col_ref = table.column(scenario.cui_a), table.column(scenario.cui_ref)
+    cui = space.cui_factor.name
+    pairs = []
+    for i in idx:
+        for side, col, lab in (("a", col_a, scenario.cui_a), ("b", col_ref, scenario.cui_ref)):
+            if col[i] is None:
+                raise PlanError(
+                    f"pairing error on side {side}: completion with {cui}={lab!r} is excluded"
+                )
+        pairs.append((col_a[i], col_ref[i]))
+    diffs = tuple(
+        aggregate(table.replicates(a, method.r, seed), scenario.aggregate)
+        - aggregate(table.replicates(ref, method.r, seed), scenario.aggregate)
+        for a, ref in pairs
+    )
+    return one_sample_ttest(DiffSample(diffs, unit=scenario.model.unit), alpha=scenario.alpha)
+
+
+def _rct_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> EffectEstimate:
+    space, table = scenario.space, scenario.table
+    require_replicates(method.r)
+    control, treatment = rct_indices(space, method.n, seed)
+    cui = space.cui_factor.name
+    arms = []
+    for group, lab, idx in (
+        ("control", scenario.cui_ref, control),
+        ("treatment", scenario.cui_a, treatment),
+    ):
+        col = table.column(lab)
+        for i in idx:
+            if col[i] is None:
+                raise PlanError(
+                    f"{group} completion with {cui}={lab!r} is excluded "
+                    f"for dc {table.pool.configs[i].id}"
+                )
+        arms.append([col[i] for i in idx])
+    xc, xt = (
+        [aggregate(table.replicates(c, method.r, seed), scenario.aggregate) for c in arm]
+        for arm in arms
+    )
+    return welch_estimate(xc, xt, alpha=scenario.alpha, unit=scenario.model.unit)
+
+
+def _factorial_iteration(
+    scenario: Scenario, method: MethodSpec, seed: int
+) -> tuple[EffectEstimate, int]:
+    space, table = scenario.space, scenario.table
+    split = dict(method.split) if method.split else _default_split(scenario, method)
+    require_replicates(method.r)
+    blocks = validate_split(space, split, method.stratify)
+    cells = draw_2kr(space, blocks, seed, method.stratify)
+    cui = space.cui_factor.name
+    high_labels = blocks[cui][1] if cui in blocks else ()
+    high: list[list[float]] = []
+    low: list[list[float]] = []
+    for assignment in cells:
+        i = table.index[tuple(assignment[f] for f in table.dc_names)]
+        completion = table.column(assignment[cui])[i]
+        assert completion is not None  # draw_2kr keeps valid assignments only
+        side = high if assignment[cui] in high_labels else low
+        side.append(table.replicates(completion, method.r, seed))
+    estimate = factorial_contrast(
+        high, low, method.r, alpha=scenario.alpha, unit=scenario.model.unit
+    )
+    return estimate, len(cells)
 
 
 def _one_iteration(
     scenario: Scenario, method: MethodSpec, seed: int
 ) -> tuple[EffectEstimate, int]:
-    space, model = scenario.space, scenario.model
-    backend = SyntheticBackend(model)
+    """One estimate of ``method`` at ``seed`` and the method's cost.
+
+    Reads the scenario's table instead of building a plan, a run log and
+    their digests, and draws the same samples, per-trial seeds and noise:
+    the estimate equals planning, running and analyzing the method.
+    """
     if method.kind == "paired":
-        if method.stratify:
-            dc = stratified_sample(space, method.stratify, method.n, seed)
-        else:
-            dc = simple_random_sample(space, (ROLE_DC,), method.n, seed)
-        plan = paired_plan(
-            space, scenario.cui_a, scenario.cui_ref, dc, method.r, seed=seed,
-            stratum=method.stratify,
-        )
-        log = new_log(plan, backend)
-        run(plan, backend, log)
-        return paired_effect(log, plan, alpha=scenario.alpha, aggregate=scenario.aggregate), plan.cost
+        return _paired_iteration(scenario, method, seed), method.n
     if method.kind == "rct":
-        plan = rct_plan(space, scenario.cui_ref, scenario.cui_a, method.n, method.r, seed)
-        log = new_log(plan, backend)
-        run(plan, backend, log)
-        return ate(log, plan, alpha=scenario.alpha, aggregate=scenario.aggregate), plan.cost
+        return _rct_iteration(scenario, method, seed), method.n
     if method.kind == "factorial_2kr":
-        split = dict(method.split) if method.split else _default_split(scenario, method)
-        plan = factorial_2kr(space, split, method.r, seed, stratify=method.stratify)
-        log = new_log(plan, backend)
-        run(plan, backend, log)
-        return _factorial_estimate(scenario, plan, log), plan.cost
+        return _factorial_iteration(scenario, method, seed)
     raise ScenarioError(f"unknown method kind {method.kind!r}")
 
 
@@ -328,7 +411,9 @@ def accuracy_cost(scenario: Scenario) -> list[AccuracyRow]:
     Iteration j of every method row shares the seed derived from
     (master seed, j), so rows are comparable across methods and runs.
     """
-    truth = ground_truth(scenario)
+    truth = scenario.truth
+    if scenario.methods:
+        scenario.table  # built here, once, rather than inside the first estimate
     rows = []
     for method in scenario.methods:
         covered = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
@@ -42,19 +42,34 @@ class SyntheticModel:
         self.main_effects = dict(self.main_effects)
 
     def response(self, config: Configuration) -> float:
-        """Exact noise-free response for a total configuration."""
+        """Exact noise-free response for a total configuration, cached per id."""
         cached = self._cache.get(config.id)
-        if cached is not None:
-            return cached
-        assignment = config.assignment
+        if cached is None:
+            cached = self._cache[config.id] = self._evaluate(config.assignment)
+        return cached
+
+    def _evaluate(self, assignment: Mapping[str, str]) -> float:
         value = self.baseline
-        for fname, label in assignment.items():
+        # Summed in factor-name order, so the bits do not depend on the
+        # order in which the assignment was built.
+        for fname, label in sorted(assignment.items()):
             value += self.main_effects.get((fname, label), 0.0)
         for terms, effect in self.interactions:
             if all(assignment.get(f) == lab for f, lab in terms):
                 value += effect
-        self._cache[config.id] = value
         return value
+
+    def completions(
+        self, space: ConfigSpace, dc_configs: Sequence[Configuration], cui_level: str
+    ) -> tuple[tuple[str, float] | None, ...]:
+        """Id and noise-free response of each DC configuration completed with
+        ``cui_level``; None where the completion is excluded."""
+        cui = space.cui_factor.name
+        out: list[tuple[str, float] | None] = []
+        for dc in dc_configs:
+            cfg = dc.extended({cui: cui_level})
+            out.append((cfg.id, self.response(cfg)) if space.is_valid(cfg.assignment) else None)
+        return tuple(out)
 
     def closed_form_delta(self, space: ConfigSpace, cui_a: str, cui_ref: str) -> float:
         """Noise-free effect difference a - ref averaged over the DC weights.
@@ -64,13 +79,13 @@ class SyntheticModel:
         product of its DC levels' normalized weights. With exclusions the
         product distribution no longer factorizes, so the DC space is
         enumerated and weight-averaged instead; both paths stay independent
-        of the plan/run/collapse pipeline.
+        of the plan/run/collapse pipeline and of the response cache.
         """
         cui = space.cui_factor
         for lab in (cui_a, cui_ref):
             cui.level(lab)
+        weights = {f.name: f.normalized_weights() for f in space.factors if f.role == ROLE_DC}
         if not space.exclusions:
-            weights = {f.name: f.normalized_weights() for f in space.factors if f.role == ROLE_DC}
             delta = self.main_effects.get((cui.name, cui_a), 0.0) - self.main_effects.get(
                 (cui.name, cui_ref), 0.0
             )
@@ -91,9 +106,9 @@ class SyntheticModel:
         for dc in space.enumerate_configs(roles=(ROLE_DC,)):
             w = 1.0
             for fname, label in dc.assignment.items():
-                w *= space.factor(fname).normalized_weights()[label]
+                w *= weights[fname][label]
             side_a, side_ref = space.pair_with(dc, cui_a, cui_ref)
-            acc += w * (self.response(side_a) - self.response(side_ref))
+            acc += w * (self._evaluate(side_a.assignment) - self._evaluate(side_ref.assignment))
             total_w += w
         if total_w <= 0:
             raise SpaceError("DC space carries no weight")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -100,6 +101,34 @@ class Configuration:
         return Configuration(merged)
 
 
+@dataclass(frozen=True)
+class ConfigPool:
+    """Valid configurations over one role set, in enumeration order.
+
+    ``weights[i]`` is the product of the normalized level weights of
+    ``configs[i]``. Built once per (space, role set) by ``ConfigSpace.pool``;
+    sampling works on positions into this pool.
+    """
+
+    configs: tuple[Configuration, ...]
+    weights: tuple[float, ...]
+    _strata: dict[str, dict[str, tuple[tuple[int, ...], tuple[float, ...]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def strata(self, factor: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
+        """Positions and weights of the members of each level of ``factor``, by label."""
+        if factor not in self._strata:
+            members: dict[str, list[int]] = {}
+            for i, cfg in enumerate(self.configs):
+                members.setdefault(cfg.assignment[factor], []).append(i)
+            self._strata[factor] = {
+                label: (tuple(idx), tuple(self.weights[i] for i in idx))
+                for label, idx in members.items()
+            }
+        return self._strata[factor]
+
+
 def _matches_exclusion(assignment: Mapping[str, str], exclusion: Mapping[str, str]) -> bool:
     # A config extends an exclusion iff every excluded factor is assigned
     # exactly the excluded label. Factors absent from the assignment never match.
@@ -112,6 +141,9 @@ class ConfigSpace:
 
     factors: tuple[Factor, ...]
     exclusions: tuple[Mapping[str, str], ...] = ()
+    _pools: dict[tuple[str, ...], ConfigPool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.factors]
@@ -190,6 +222,34 @@ class ConfigSpace:
             if self.is_valid(assignment):
                 yield Configuration(assignment)
 
+    def pool(
+        self,
+        roles: Iterable[str] = ALL_ROLES,
+        budget: int = DEFAULT_ENUMERATION_BUDGET,
+    ) -> ConfigPool:
+        """The valid configurations over ``roles`` with their product weights.
+
+        Enumerated on first use for a role set and kept with the space;
+        the budget is checked on every call.
+        """
+        key = tuple(sorted(set(roles)))
+        pool = self._pools.get(key)
+        if pool is None:
+            factor_weights = {f.name: f.normalized_weights() for f in self.factors}
+            configs = tuple(self.enumerate_configs(key, budget=budget))
+            weights = []
+            for cfg in configs:
+                w = 1.0
+                for fname, label in cfg.assignment.items():
+                    w *= factor_weights[fname][label]
+                weights.append(w)
+            pool = self._pools[key] = ConfigPool(configs, tuple(weights))
+        elif len(pool.configs) > budget:
+            raise SpaceError(
+                f"enumeration budget exceeded: {len(pool.configs)} configurations > budget {budget}"
+            )
+        return pool
+
     # -- pairing --------------------------------------------------------
 
     def pair_with(
@@ -231,7 +291,7 @@ class ConfigSpace:
             "exclusions": [dict(e) for e in self.exclusions],
         }
 
-    @property
+    @cached_property
     def space_digest(self) -> str:
         return digest(self.to_dict())
 

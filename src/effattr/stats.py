@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT
 from .runner import RunLog, collapse
 from .special import betainc_inv
@@ -126,40 +124,50 @@ class EffectEstimate:
         Open interval in the regular case; a degenerate point interval
         covers only its own point.
         """
-        lo, hi = self.ci
-        if lo == hi:
-            return mu == lo
-        return lo < mu < hi
+        return _inside(self.ci, mu)
 
     @property
     def width(self) -> float:
         return self.ci[1] - self.ci[0]
 
 
-def _ttest_values(
-    xs: Sequence[float], mu0: float, alpha: float, unit: str, average_kind: str = "arithmetic"
+def _inside(ci: tuple[float, float], mu: float) -> bool:
+    lo, hi = ci
+    return mu == lo if lo == hi else lo < mu < hi
+
+
+def _estimate(
+    delta: float,
+    se: float,
+    df: float,
+    n: int,
+    alpha: float,
+    mu0: float,
+    unit: str,
+    s: float | None = None,
 ) -> EffectEstimate:
-    n = len(xs)
-    if n < 2:
-        raise StatsError("t test: needs at least 2 observations")
-    if not 0.0 < alpha < 1.0:
-        raise StatsError(f"t test: alpha must be in (0, 1), got {alpha}")
-    mean = sample_mean(xs)
-    s = sample_std(xs)
-    df = n - 1
+    """Test and interval for ``delta`` with standard error ``se`` on ``df``.
+
+    A zero standard error gives a point interval, so the verdict is ruled
+    by exact equality. The verdict is read off the interval rather than
+    |t| >= t_crit: the two agree in exact arithmetic, and this way they
+    also agree where rounding puts an endpoint on mu0. ``s`` defaults to
+    ``se * sqrt(n)``; the one-sample test passes its sample deviation and
+    keeps its half-width as t * s / sqrt(n).
+    """
     t_crit = t_quantile(alpha / 2.0, df)
-    if s == 0.0:
-        t_val = 0.0 if mean == mu0 else math.copysign(math.inf, mean - mu0)
-        ci = (mean, mean)
+    if se == 0.0:
+        t_val = 0.0 if delta == mu0 else math.copysign(math.inf, delta - mu0)
+        ci = (delta, delta)
     else:
-        t_val = t_statistic(mean, mu0, s, n)
-        half = t_crit * s / math.sqrt(n)
-        ci = (mean - half, mean + half)
-    verdict = VERDICT_REJECT if abs(t_val) >= t_crit else VERDICT_FAIL_TO_REJECT
+        t_val = (delta - mu0) / se
+        half = t_crit * se if s is None else t_crit * s / math.sqrt(n)
+        ci = (delta - half, delta + half)
+    verdict = VERDICT_FAIL_TO_REJECT if _inside(ci, mu0) else VERDICT_REJECT
     return EffectEstimate(
-        delta_e=mean,
+        delta_e=delta,
         n=n,
-        s=s,
+        s=se * math.sqrt(n) if s is None else s,
         alpha=alpha,
         mu0=mu0,
         t_value=t_val,
@@ -167,14 +175,20 @@ def _ttest_values(
         df=df,
         ci=ci,
         verdict=verdict,
-        average_kind=average_kind,
         unit=unit,
     )
 
 
 def one_sample_ttest(diffs: DiffSample, mu0: float = 0.0, alpha: float = 0.01) -> EffectEstimate:
     """Two-sided one-sample t test of the mean difference against mu0."""
-    return _ttest_values(diffs.diffs, mu0, alpha, unit=diffs.unit)
+    xs = diffs.diffs
+    n = len(xs)
+    if n < 2:
+        raise StatsError("t test: needs at least 2 observations")
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"t test: alpha must be in (0, 1), got {alpha}")
+    s = sample_std(xs)
+    return _estimate(sample_mean(xs), s / math.sqrt(n), n - 1, n, alpha, mu0, diffs.unit, s=s)
 
 
 def confidence_interval(diffs: DiffSample, alpha: float = 0.01) -> tuple[float, float]:
@@ -277,8 +291,6 @@ def ate(
     """mean(treatment) - mean(control) with a Welch two-sample interval."""
     if plan.method != "rct":
         raise StatsError(f"ate requires an rct plan, got {plan.method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise StatsError(f"ate: alpha must be in (0, 1), got {alpha}")
     collapsed = collapse(log, aggregate)
     arms: dict[str, list[str]] = {GROUP_CONTROL: [], GROUP_TREATMENT: []}
     seen: set[str] = set()
@@ -287,47 +299,68 @@ def ate(
             continue
         seen.add(trial.config.id)
         arms[trial.group].append(trial.config.id)
-    values: dict[str, list[float]] = {}
-    for group, ids in arms.items():
-        if len(ids) < 2:
-            raise StatsError(f"ate: {group} arm needs at least 2 configurations, has {len(ids)}")
-        missing = [cid for cid in ids if cid not in collapsed.values]
-        if missing:
-            raise StatsError(f"incomplete log: no ok measurements for configurations {missing[:5]}")
-        values[group] = [collapsed.values[cid] for cid in ids]
-    xc, xt = values[GROUP_CONTROL], values[GROUP_TREATMENT]
+    missing = [cid for ids in arms.values() for cid in ids if cid not in collapsed.values]
+    if missing:
+        raise StatsError(f"incomplete log: no ok measurements for configurations {missing[:5]}")
+    xc, xt = ([collapsed.values[cid] for cid in arms[g]] for g in (GROUP_CONTROL, GROUP_TREATMENT))
+    return welch_estimate(xc, xt, alpha=alpha, mu0=mu0, unit=log.header.unit)
+
+
+def welch_estimate(
+    xc: Sequence[float],
+    xt: Sequence[float],
+    alpha: float = 0.01,
+    mu0: float = 0.0,
+    unit: str = "units",
+) -> EffectEstimate:
+    """The value-level core of ``ate``: control and treatment values per configuration."""
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"ate: alpha must be in (0, 1), got {alpha}")
+    for group, xs in ((GROUP_CONTROL, xc), (GROUP_TREATMENT, xt)):
+        if len(xs) < 2:
+            raise StatsError(f"ate: {group} arm needs at least 2 configurations, has {len(xs)}")
     n1, n2 = len(xc), len(xt)
     delta = sample_mean(xt) - sample_mean(xc)
     v1 = sample_std(xc) ** 2 / n1
     v2 = sample_std(xt) ** 2 / n2
     se = math.sqrt(v1 + v2)
-    n = n1 + n2
     if se == 0.0:
-        df = float(n - 2)
-        t_crit = t_quantile(alpha / 2.0, df)
-        t_val = 0.0 if delta == mu0 else math.copysign(math.inf, delta - mu0)
-        ci = (delta, delta)
-        s = 0.0
+        df = float(n1 + n2 - 2)
     else:
         df = (v1 + v2) ** 2 / (v1**2 / (n1 - 1) + v2**2 / (n2 - 1))
-        t_crit = t_quantile(alpha / 2.0, df)
-        t_val = (delta - mu0) / se
-        ci = (delta - t_crit * se, delta + t_crit * se)
-        s = se * math.sqrt(n)
-    verdict = VERDICT_REJECT if abs(t_val) >= t_crit else VERDICT_FAIL_TO_REJECT
-    return EffectEstimate(
-        delta_e=delta,
-        n=n,
-        s=s,
-        alpha=alpha,
-        mu0=mu0,
-        t_value=t_val,
-        t_critical=t_crit,
-        df=df,
-        ci=ci,
-        verdict=verdict,
-        unit=log.header.unit,
+    return _estimate(delta, se, df, n1 + n2, alpha, mu0, unit)
+
+
+# -- 2^k r contrast -----------------------------------------------------------
+
+
+def factorial_contrast(
+    high: Sequence[Sequence[float]],
+    low: Sequence[Sequence[float]],
+    r: int,
+    alpha: float = 0.01,
+    unit: str = "units",
+) -> EffectEstimate:
+    """CUI contrast of a 2^k r design with its replication-based error.
+
+    ``high`` and ``low`` hold the r replicate values of each cell on either
+    side of the CUI split. delta = mean(high cells) - mean(low cells); the
+    standard error comes from the pooled within-cell replicate variance.
+    """
+    if r < 2:
+        raise StatsError("factorial_2kr accuracy requires r >= 2 for a replication error term")
+    n_high, n_low = len(high), len(low)
+    if n_high == 0 or n_low == 0:
+        raise StatsError("factorial_2kr accuracy: a contrast side has no cells")
+    delta = sample_mean([v for cell in high for v in cell]) - sample_mean(
+        [v for cell in low for v in cell]
     )
+    within = math.fsum(
+        (v - sample_mean(cell)) ** 2 for side in (high, low) for cell in side for v in cell
+    )
+    df = (n_high + n_low) * (r - 1)
+    se = math.sqrt(within / df * (1.0 / (n_high * r) + 1.0 / (n_low * r)))
+    return _estimate(delta, se, df, (n_high + n_low) * r, alpha, 0.0, unit)
 
 
 # -- n-way ANOVA ---------------------------------------------------------------
@@ -370,6 +403,8 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     term exists; any missing or failed measurement makes the design
     unbalanced and is rejected.
     """
+    import numpy as np  # only ANOVA needs it; importing it costs more than the rest of effattr
+
     if plan.method != "full_factorial":
         raise StatsError(f"anova requires a full_factorial plan, got {plan.method!r}")
     if not 0.0 < alpha < 1.0:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,12 @@ class TestMetaCommand:
         assert code == 0
         assert out == ""
         assert out_file.read_text().startswith("method,")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported by ANOVA only; the CLI and the meta path start without it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, effattr, effattr.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +23,9 @@ from effattr import (
     simple_random_sample,
     stratified_sample,
 )
-from effattr.design import plan_from_json, plan_to_json
+from effattr._util import digest
+from effattr.design import _weighted_indices, plan_from_json, plan_to_json
+from effattr.space import SpaceError
 from conftest import space_doc
 
 
@@ -174,6 +178,46 @@ class TestSimpleRandomSample:
             simple_random_sample(space, ("DC",), 3, seed=1)
 
 
+class _ZeroDraws(random.Random):
+    """A stream that returns 0.0 at the given draw numbers."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros, self.k = set(zeros), 0
+
+    def random(self):
+        self.k += 1
+        return 0.0 if self.k in self.zeros else super().random()
+
+
+def sequential_keys_sample(weights, n, rng):
+    """Exponential keys drawn one weight at a time, a zero u redrawn on the spot."""
+    keyed = []
+    for idx, w in enumerate(weights):
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        keyed.append((math.log(u) / w if w > 0 else -math.inf, idx))
+    keyed.sort(key=lambda t: (-t[0], t[1]))
+    return [idx for _, idx in keyed[:n]]
+
+
+class TestSamplingCore:
+    @pytest.mark.parametrize("zeros", [(), (1,), (3, 4), (7, 30), (30,)])
+    def test_matches_sequential_draws(self, zeros):
+        weights = [0.5, 0.0, 1.0, 2.0, 0.25, 1.0, 0.0] * 4 + [1.0, 1.0]
+        for n in (1, 5, 12, 22):
+            got = _weighted_indices(weights, n, _ZeroDraws(9, zeros))
+            assert got == sequential_keys_sample(weights, n, _ZeroDraws(9, zeros))
+
+    def test_pool_cached_and_budget_checked_per_call(self, small_space):
+        pool = small_space.pool(("DC",))
+        assert small_space.pool(["DC"]) is pool
+        assert [c.id for c in pool.configs] == [c.id for c in small_space.enumerate_configs(("DC",))]
+        with pytest.raises(SpaceError, match="budget"):
+            small_space.pool(("DC",), budget=len(pool.configs) - 1)
+
+
 class TestStratifiedSample:
     def test_equal_allocation(self):
         space = load_space(json.dumps(space_doc(dc_counts=(10, 10, 1, 3, 60))))
@@ -305,6 +349,17 @@ class TestPlanSerialization:
         loaded = load_plan(path)
         assert loaded.to_dict() == plan.to_dict()
         assert plan_digest(loaded) == plan_digest(plan)
+
+    def test_cached_digests_match_fresh(self, small_space, tmp_path):
+        dc = simple_random_sample(small_space, ("DC",), 4, seed=3)
+        plan = paired_plan(small_space, "ht_off", "ht_on", dc, r=2, seed=77)
+        assert small_space.space_digest == digest(small_space.to_dict())
+        assert plan_digest(plan) == digest(plan.to_dict())
+        assert plan_digest(plan) is plan_digest(plan)  # serialized once
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        loaded = load_plan(path)
+        assert plan_digest(loaded) == digest(loaded.to_dict()) == plan_digest(plan)
 
     def test_malformed_rejected(self):
         with pytest.raises(PlanError, match="not valid JSON"):

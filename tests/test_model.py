@@ -1,0 +1,56 @@
+"""Synthetic model responses: exact, cached, independent of key order."""
+
+from __future__ import annotations
+
+from hypothesis import given, strategies as st
+
+from effattr import Configuration, SyntheticModel, load_space
+from effattr.space import ROLE_DC
+
+
+def test_key_order_does_not_change_the_bits():
+    mains = {("a", "x"): 0.1, ("b", "y"): 0.2, ("c", "z"): 0.3}
+    forward = SyntheticModel(main_effects=mains).response(Configuration({"a": "x", "b": "y", "c": "z"}))
+    backward = SyntheticModel(main_effects=mains).response(Configuration({"c": "z", "b": "y", "a": "x"}))
+    assert forward.hex() == backward.hex()
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("xyz"), st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=1,
+        max_size=7,
+    ),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.randoms(use_true_random=False),
+)
+def test_permuted_assignments_give_bit_equal_responses(levels, baseline, rng):
+    names = [f"f{i}" for i in range(len(levels))]
+    mains = {(name, label): effect for name, (label, effect) in zip(names, levels)}
+    interactions = (((("f0", levels[0][0]),), 0.7),)
+    assignment = {name: label for name, (label, _) in zip(names, levels)}
+    permuted = list(assignment.items())
+    rng.shuffle(permuted)
+    # Fresh models, so neither answer comes from the other's cache.
+    a = SyntheticModel(baseline, mains, interactions).response(Configuration(assignment))
+    b = SyntheticModel(baseline, mains, interactions).response(Configuration(dict(permuted)))
+    assert a.hex() == b.hex()
+
+
+def test_completions_match_responses():
+    space = load_space(
+        {
+            "factors": [
+                {"name": "cpu", "role": "CUI", "levels": [{"label": "on"}, {"label": "off"}]},
+                {"name": "w", "role": "DC", "levels": [{"label": "w0"}, {"label": "w1"}]},
+            ],
+            "exclusions": [{"cpu": "off", "w": "w1"}],
+        }
+    )
+    model = SyntheticModel(1.0, {("cpu", "off"): 0.5, ("w", "w1"): 2.0})
+    dcs = space.pool((ROLE_DC,)).configs
+    column = model.completions(space, dcs, "off")
+    on = model.completions(space, dcs, "on")
+    assert column[1] is None
+    assert column[0] == (dcs[0].extended({"cpu": "off"}).id, 1.5)
+    assert on == tuple((c.extended({"cpu": "on"}).id, 1.0 + 2.0 * i) for i, c in enumerate(dcs))

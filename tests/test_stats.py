@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effattr import (
@@ -124,6 +124,8 @@ class TestConfidenceInterval:
     mu0=st.floats(-60, 60),
     alpha=st.sampled_from([0.01, 0.05, 0.2]),
 )
+# Equal values whose mean rounds one ulp low: the upper end lands on mu0.
+@example(data=[21.339358626052608] * 3, mu0=21.339358626052608, alpha=0.2)
 def test_interval_test_duality(data, mu0, alpha):
     # mu0 inside the interval exactly when the test fails to reject
     est = one_sample_ttest(DiffSample(diffs=tuple(data)), mu0=mu0, alpha=alpha)
