@@ -31,7 +31,7 @@ from .design import (
     validate_split,
 )
 from .model import ModelError, SyntheticModel, load_model
-from .runner import RunLog, aggregate, collapse
+from .runner import AGGREGATE_METHODS, RunLog, aggregate, collapse
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError, load_space
 from .stats import (
     DiffSample,
@@ -86,6 +86,8 @@ class Scenario:
             raise ScenarioError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.direction not in ("min", "max"):
             raise ScenarioError(f"direction must be 'min' or 'max', got {self.direction!r}")
+        if self.aggregate not in AGGREGATE_METHODS:
+            raise ScenarioError(f"aggregate must be 'median' or 'mean', got {self.aggregate!r}")
         cui = self.space.cui_factor
         try:
             for lab in (self.cui_a, self.cui_ref):

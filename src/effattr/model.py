@@ -77,15 +77,16 @@ class SyntheticModel:
         Without exclusions this is a direct coefficient sum: the main-effect
         difference plus each CUI-involving interaction weighted by the
         product of its DC levels' normalized weights. With exclusions the
-        product distribution no longer factorizes, so the DC space is
-        enumerated and weight-averaged instead; both paths stay independent
-        of the plan/run/collapse pipeline and of the response cache.
+        product distribution no longer factorizes, so the space's DC pool
+        (its configurations and product weights) is weight-averaged instead;
+        both paths stay independent of the plan/run/collapse pipeline and of
+        the response cache.
         """
         cui = space.cui_factor
         for lab in (cui_a, cui_ref):
             cui.level(lab)
-        weights = {f.name: f.normalized_weights() for f in space.factors if f.role == ROLE_DC}
         if not space.exclusions:
+            weights = {f.name: f.normalized_weights() for f in space.factors if f.role == ROLE_DC}
             delta = self.main_effects.get((cui.name, cui_a), 0.0) - self.main_effects.get(
                 (cui.name, cui_ref), 0.0
             )
@@ -103,12 +104,11 @@ class SyntheticModel:
             return delta
         total_w = 0.0
         acc = 0.0
-        for dc in space.enumerate_configs(roles=(ROLE_DC,)):
-            w = 1.0
-            for fname, label in dc.assignment.items():
-                w *= weights[fname][label]
-            side_a, side_ref = space.pair_with(dc, cui_a, cui_ref)
-            acc += w * (self._evaluate(side_a.assignment) - self._evaluate(side_ref.assignment))
+        pool = space.pool((ROLE_DC,))
+        for dc, w in zip(pool.configs, pool.weights):
+            side_a = space.completion(dc.assignment, cui_a, "a")
+            side_ref = space.completion(dc.assignment, cui_ref, "b")
+            acc += w * (self._evaluate(side_a) - self._evaluate(side_ref))
             total_w += w
         if total_w <= 0:
             raise SpaceError("DC space carries no weight")

@@ -2,8 +2,9 @@
 
 Logs are append-only JSON lines keyed by (configuration id, replicate);
 re-running a completed plan appends nothing, so interrupted runs resume
-for free. Synthetic measurements are seeded per trial, making logs
-independent of execution order and parallelism.
+for free, and a last record torn by the interruption is dropped on load.
+Synthetic measurements are seeded per trial, making logs independent of
+execution order and parallelism.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 import shlex
 import statistics
 import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,6 +85,9 @@ class RunLog:
         self.path = Path(path) if path is not None else None
         self._records: dict[tuple[str, int], Measurement] = {}
         self._fh: IO[str] | None = None
+        # A loaded log reopens its file on the first new record: (length to
+        # cut a torn last record back to, or None; text to write first).
+        self._reopen: tuple[int | None, str] | None = None
         if self.path is not None and not _existing:
             self._fh = open(self.path, "w", encoding="utf-8")
             self._fh.write(json.dumps(self.header.to_dict(), sort_keys=True) + "\n")
@@ -90,8 +95,21 @@ class RunLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
+        """Read a log file; it is reopened for appending on the first new record.
+
+        A last record torn by an interrupted append (no newline, does not
+        parse) is dropped with a warning on stderr, and cut off the file
+        before anything is appended; any other malformed record raises
+        ``RunError``. Reading alone never changes the file.
+        """
         path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        data = path.read_bytes()
+        # A last line without its newline is an append that was cut short.
+        complete = data.rfind(b"\n") + 1
+        lines = data[:complete].decode("utf-8").splitlines()
+        torn = data[complete:].decode("utf-8", errors="replace")
+        if torn:
+            lines.append(torn)
         if not lines:
             raise RunError(f"run log {path} is empty")
         try:
@@ -125,9 +143,14 @@ class RunLog:
                     reason=rec.get("reason"),
                 )
             except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                if torn and i == len(lines):
+                    print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
+                    log._reopen = (complete, "")
+                    return log
                 raise RunError(f"run log {path}:{i}: malformed record: {exc}") from exc
             log._add(m, write=False)
-        log._fh = open(path, "a", encoding="utf-8")
+        # A whole last record that lost only its newline gets it back.
+        log._reopen = (None, "\n" if torn else "")
         return log
 
     def _add(self, m: Measurement, write: bool) -> None:
@@ -135,6 +158,13 @@ class RunLog:
         if key in self._records:
             raise RunError(f"duplicate measurement for {key}")
         self._records[key] = m
+        if write and self._reopen is not None and self.path is not None:
+            cut, prefix = self._reopen
+            self._reopen = None
+            if cut is not None:
+                os.truncate(self.path, cut)
+            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(prefix)
         if write and self._fh is not None:
             self._fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
 
@@ -151,6 +181,7 @@ class RunLog:
             self.flush()
             self._fh.close()
             self._fh = None
+        self._reopen = None
 
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._records

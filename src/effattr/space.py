@@ -7,7 +7,6 @@ a configuration is invalid if it extends any of them.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -135,6 +134,83 @@ def _matches_exclusion(assignment: Mapping[str, str], exclusion: Mapping[str, st
     return all(assignment.get(f) == lab for f, lab in exclusion.items())
 
 
+class _Walk:
+    """The valid configurations over ``factors`` as a pruned depth-first walk.
+
+    Factors are assigned in declared order and levels in level order, so
+    the leaves come in the lexicographic order of the full product. The
+    state after a prefix is the bit set of exclusions that have started
+    (one of their factors is assigned) and still match it; a prefix that
+    completes an exclusion is pruned. Valid completions are counted once
+    per (depth, state), so the cost is bounded by the number of distinct
+    states, which at any depth never exceeds the grid of the factors that
+    the exclusions mention, whatever the number of exclusions.
+    """
+
+    def __init__(self, factors: Sequence[Factor], exclusions: Sequence[Mapping[str, str]]):
+        self.names = tuple(f.name for f in factors)
+        depth_of = {name: d for d, name in enumerate(self.names)}
+        # Per depth, the exclusions whose first factor it is; per level,
+        # [label, bits it kills, bits it completes, bits it starts].
+        opening = [0] * len(factors)
+        moves = [[[lv.label, 0, 0, 0] for lv in f.levels] for f in factors]
+        for i, excl in enumerate(exclusions):
+            bit = 1 << i
+            depths = sorted(depth_of[name] for name in excl)
+            opening[depths[0]] |= bit
+            for name, label in excl.items():
+                d = depth_of[name]
+                for move in moves[d]:
+                    if move[0] != label:
+                        move[1] |= bit
+                    elif d == depths[-1]:
+                        move[2] |= bit
+                    elif d == depths[0]:
+                        move[3] |= bit
+        # Forward: the (label, next state) edges out of every reachable state.
+        self.edges: list[dict[int, list[tuple[str, int]]]] = []
+        states = {0}
+        for d, level_moves in enumerate(moves):
+            layer = {}
+            for state in states:
+                live = state | opening[d]
+                layer[state] = [
+                    (label, (state & ~kills) | starts)
+                    for label, kills, completes, starts in level_moves
+                    if not completes & live
+                ]
+            self.edges.append(layer)
+            states = {nxt for out in layer.values() for _, nxt in out}
+        # Backward: valid completions per state; edges into none are dropped,
+        # so every prefix the leaves walk through ends in a leaf.
+        counts = dict.fromkeys(states, 1)
+        for layer in reversed(self.edges):
+            for out in layer.values():
+                out[:] = [edge for edge in out if counts[edge[1]]]
+            counts = {state: sum(counts[nxt] for _, nxt in out) for state, out in layer.items()}
+        self.count: int = counts[0]
+
+    def leaves(self) -> Iterator[tuple[str, ...]]:
+        """Label tuples of the valid configurations, in walk order."""
+        depth = len(self.edges)
+        if not depth:
+            yield ()
+            return
+        path: list[str] = []
+        stack = [iter(self.edges[0][0])]
+        while stack:
+            edge = next(stack[-1], None)
+            if edge is None:
+                stack.pop()
+                if path:
+                    path.pop()
+            elif len(stack) == depth:
+                yield (*path, edge[0])
+            else:
+                path.append(edge[0])
+                stack.append(iter(self.edges[len(stack)][edge[1]]))
+
+
 @dataclass(frozen=True)
 class ConfigSpace:
     """Validated, immutable configuration space."""
@@ -193,16 +269,7 @@ class ConfigSpace:
 
     def cartesian_size(self, roles: Iterable[str] = ALL_ROLES) -> int:
         """Number of valid configurations over the selected roles."""
-        factors = self.factors_for(roles)
-        fnames = {f.name for f in factors}
-        counts = {f.name: len(f.levels) for f in factors}
-        total = 1
-        for f in factors:
-            total *= len(f.levels)
-        # Only exclusions entirely within the selected roles can match a
-        # configuration restricted to those roles.
-        relevant = [dict(e) for e in self.exclusions if set(e) <= fnames]
-        return total - _excluded_count(relevant, counts)
+        return self._walk(roles).count
 
     # -- enumeration ----------------------------------------------------
 
@@ -212,15 +279,19 @@ class ConfigSpace:
         budget: int = DEFAULT_ENUMERATION_BUDGET,
     ) -> Iterator[Configuration]:
         """Valid configurations in lexicographic (factor order, level order) order."""
-        factors = self.factors_for(roles)
         size = self.cartesian_size(roles)
         if size > budget:
             raise SpaceError(f"enumeration budget exceeded: {size} configurations > budget {budget}")
-        names = [f.name for f in factors]
-        for combo in itertools.product(*(f.labels() for f in factors)):
-            assignment = dict(zip(names, combo))
-            if self.is_valid(assignment):
-                yield Configuration(assignment)
+        walk = self._walk(roles)
+        for labels in walk.leaves():
+            yield Configuration(dict(zip(walk.names, labels)))
+
+    def _walk(self, roles: Iterable[str]) -> "_Walk":
+        factors = self.factors_for(roles)
+        names = {f.name for f in factors}
+        # Only exclusions entirely within the selected roles can match a
+        # configuration restricted to those roles.
+        return _Walk(factors, [e for e in self.exclusions if set(e) <= names])
 
     def pool(
         self,
@@ -263,14 +334,20 @@ class ConfigSpace:
         missing = dc_names - set(dc_config.assignment)
         if missing:
             raise SpaceError(f"dc configuration missing factors: {sorted(missing)}")
-        side_a = dc_config.extended({cui.name: cui_level_a})
-        side_b = dc_config.extended({cui.name: cui_level_b})
-        for side, cfg, lab in (("a", side_a, cui_level_a), ("b", side_b, cui_level_b)):
-            if not self.is_valid(cfg.assignment):
-                raise SpaceError(
-                    f"pairing error on side {side}: completion with {cui.name}={lab!r} is excluded"
-                )
-        return side_a, side_b
+        return (
+            Configuration(self.completion(dc_config.assignment, cui_level_a, "a")),
+            Configuration(self.completion(dc_config.assignment, cui_level_b, "b")),
+        )
+
+    def completion(self, dc_assignment: Mapping[str, str], cui_level: str, side: str) -> dict[str, str]:
+        """``dc_assignment`` completed with a CUI level; raises if it is excluded."""
+        cui = self.cui_factor.name
+        assignment = {**dc_assignment, cui: cui_level}
+        if not self.is_valid(assignment):
+            raise SpaceError(
+                f"pairing error on side {side}: completion with {cui}={cui_level!r} is excluded"
+            )
+        return assignment
 
     # -- serialization --------------------------------------------------
 
@@ -294,38 +371,6 @@ class ConfigSpace:
     @cached_property
     def space_digest(self) -> str:
         return digest(self.to_dict())
-
-
-def _excluded_count(exclusions: list[dict[str, str]], level_counts: dict[str, int]) -> int:
-    """Size of the union of exclusion extensions, by inclusion-exclusion.
-
-    Branches over exclusions; incompatible partial assignments prune the
-    whole subtree (their intersection is empty).
-    """
-
-    def extension_size(partial: dict[str, str]) -> int:
-        size = 1
-        for name, count in level_counts.items():
-            if name not in partial:
-                size *= count
-        return size
-
-    def recurse(idx: int, partial: dict[str, str]) -> int:
-        total = 0
-        for i in range(idx, len(exclusions)):
-            merged = dict(partial)
-            compatible = True
-            for f, lab in exclusions[i].items():
-                if merged.get(f, lab) != lab:
-                    compatible = False
-                    break
-                merged[f] = lab
-            if not compatible:
-                continue
-            total += extension_size(merged) - recurse(i + 1, merged)
-        return total
-
-    return recurse(0, {})
 
 
 # -- loading -------------------------------------------------------------

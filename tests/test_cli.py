@@ -166,6 +166,25 @@ class TestRunCommand:
         assert code == 0
         assert "0 new trials" in out
 
+    def test_resume_after_torn_last_record(self, ws, capsys):
+        plan_path = self.plan(ws, capsys)
+        whole, cut = ws["dir"] / "whole.jsonl", ws["dir"] / "cut.jsonl"
+        backend = f"synthetic:{ws['model']}"
+        for log_path in (whole, cut):
+            run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend)
+        cut.write_bytes(cut.read_bytes()[:-20])
+        code, out, err = run_cli(capsys, "run", "--plan", plan_path, "--log", cut, "--backend", backend)
+        assert code == 0 and "1 new trials" in out
+        assert "dropped a torn last record" in err
+        keys = [(r["config_id"], r["replicate"]) for r in map(json.loads, cut.read_text().splitlines()[1:])]
+        assert len(keys) == len(set(keys)) == 16
+        assert cut.read_bytes() == whole.read_bytes()
+        reports = [
+            run_cli(capsys, "analyze", "effect", "--log", log_path, "--plan", plan_path, "--raw")
+            for log_path in (whole, cut)
+        ]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
     def test_failing_external_command_gives_partial_code(self, ws, capsys):
         plan_path = self.plan(ws, capsys)
         log_path = ws["dir"] / "fail.jsonl"

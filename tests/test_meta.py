@@ -357,3 +357,9 @@ class TestScenarioLoading:
         doc["cui_a"] = "missing"
         with pytest.raises(ScenarioError, match="no level"):
             load_scenario(json.dumps(doc))
+
+    def test_unknown_aggregate_rejected(self):
+        doc = self.doc()
+        doc["aggregate"] = "mode"
+        with pytest.raises(ScenarioError, match="aggregate.*'mode'"):
+            load_scenario(json.dumps(doc))

@@ -27,7 +27,14 @@ from effattr import (
     stratified_sample,
 )
 from effattr._util import derive_seed
-from effattr.meta import MethodSpec, Scenario, _default_split, _factorial_estimate, _one_iteration
+from effattr.meta import (
+    MethodSpec,
+    Scenario,
+    ScenarioError,
+    _default_split,
+    _factorial_estimate,
+    _one_iteration,
+)
 from conftest import space_doc
 
 SEEDS = [derive_seed(5, "iter", j) for j in range(6)]
@@ -199,9 +206,10 @@ def test_error_type_equals_reference(space_text, method, noise_sd):
         assert isinstance(result, type) and issubclass(result, Exception)
 
 
-def test_bad_aggregate_equals_reference():
-    for method in (PAIRED, RCT, MethodSpec(kind="factorial_2kr", r=2)):
-        assert_same(lambda: scenario(PLAIN, 0.3, aggregate="mode"), method, SEEDS[0])
+def test_bad_aggregate_rejected_at_construction():
+    # Neither path can run: the scenario itself refuses the aggregate.
+    with pytest.raises(ScenarioError, match="aggregate"):
+        scenario(PLAIN, 0.3, aggregate="mode")
 
 
 def test_table_is_built_once_and_filled_through_the_model():

@@ -9,6 +9,7 @@ import pytest
 from effattr import (
     Configuration,
     ExternalBackend,
+    Measurement,
     RunError,
     RunLog,
     SyntheticBackend,
@@ -251,6 +252,47 @@ class TestRunLogFile:
         log.append(m)
         with pytest.raises(RunError, match="duplicate measurement"):
             log.append(m)
+
+    def finished_log(self, space, model, path):
+        plan = full_factorial(space, r=1, seed=0)
+        log = new_log(plan, SyntheticBackend(model), path=path)
+        run(plan, SyntheticBackend(model), log)
+        log.close()
+        return plan, path.read_bytes()
+
+    def test_torn_last_record_dropped_then_cut_on_append(self, small_space, plain_model, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        plan, data = self.finished_log(small_space, plain_model, path)
+        path.write_bytes(data[:-20])
+        loaded = RunLog.load(path)
+        assert len(loaded) == len(plan.trials) - 1
+        assert "dropped a torn last record" in capsys.readouterr().err
+        assert path.read_bytes() == data[:-20]  # reading alone changes nothing
+        report = run(plan, SyntheticBackend(plain_model), loaded)
+        loaded.close()
+        assert report.executed == 1
+        assert path.read_bytes() == data
+
+    def test_last_record_missing_only_its_newline_kept(self, small_space, plain_model, tmp_path):
+        path = tmp_path / "log.jsonl"
+        plan, data = self.finished_log(small_space, plain_model, path)
+        path.write_bytes(data[:-1])
+        loaded = RunLog.load(path)
+        assert len(loaded) == len(plan.trials)
+        extra = Measurement(config_id="extra", replicate=1, value=1.0, backend="synthetic", wall_time=0.0)
+        loaded.append(extra)
+        loaded.close()
+        assert path.read_bytes() == data + (json.dumps(extra.to_dict(), sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    def test_malformed_record_with_newline_rejected(self, small_space, plain_model, tmp_path, where):
+        path = tmp_path / "log.jsonl"
+        lines = self.finished_log(small_space, plain_model, path)[1].splitlines(keepends=True)
+        at = 2 if where == "middle" else len(lines) - 1
+        lines[at] = lines[at][:-20] + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(RunError, match="malformed record"):
+            RunLog.load(path)
 
     def test_malformed_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -230,3 +230,71 @@ def test_configuration_id_order_invariant():
     b = Configuration({"cpu": "on", "t": "t1", "w": "w0"})
     assert a.id == b.id
     assert a.id != Configuration({"w": "w1", "t": "t1", "cpu": "on"}).id
+
+
+def brute_force(doc, roles):
+    """Valid assignments over ``roles`` by filtering the full product."""
+    factors = [f for f in doc["factors"] if f["role"] in roles]
+    names = [f["name"] for f in factors]
+    relevant = [e for e in doc["exclusions"] if set(e) <= set(names)]
+    out = []
+    for combo in itertools.product(*([lv["label"] for lv in f["levels"]] for f in factors)):
+        assignment = dict(zip(names, combo))
+        if not any(all(assignment[f] == v for f, v in e.items()) for e in relevant):
+            out.append(assignment)
+    return out
+
+
+@st.composite
+def exclusion_heavy_spaces(draw):
+    counts = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=5))
+    doc = space_doc(dc_counts=counts)
+    doc["factors"] = draw(st.permutations(doc["factors"]))
+    labels = {f["name"]: [lv["label"] for lv in f["levels"]] for f in doc["factors"]}
+    # Drawing the first level half of the time makes exclusions that share
+    # labels, so many subsets of them are compatible.
+    label = lambda name: st.one_of(st.just(labels[name][0]), st.sampled_from(labels[name]))
+    exclusion = st.lists(
+        st.sampled_from(sorted(labels)), min_size=1, max_size=min(3, len(labels)), unique=True
+    ).flatmap(lambda chosen: st.fixed_dictionaries({name: label(name) for name in chosen}))
+    doc["exclusions"] = draw(st.lists(exclusion, max_size=20))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(exclusion_heavy_spaces())
+def test_walk_matches_brute_force_for_every_role_set(doc):
+    try:
+        space = load_space(json.dumps(doc))
+    except SpaceError:
+        assert not brute_force(doc, ("CUI", "DC"))
+        return
+    for roles in (("CUI", "DC"), ("CUI",), ("DC",)):
+        expected = [Configuration(a).id for a in brute_force(doc, roles)]
+        assert space.cartesian_size(roles) == len(expected)
+        assert [c.id for c in space.enumerate_configs(roles)] == expected
+
+
+def test_forty_compatible_exclusions_count_without_blowup():
+    # Every subset of these pair exclusions is compatible: inclusion-exclusion
+    # over them would need 2^40 terms.
+    rng = random.Random(3)
+    doc = space_doc(dc_counts=())
+    names = [f"f{i:02d}" for i in range(12)]
+    doc["factors"] += [
+        {"name": n, "role": "DC", "levels": [{"label": "lo"}, {"label": "hi"}]} for n in names
+    ]
+    corner = {n: rng.choice(("lo", "hi")) for n in names}
+    pairs = rng.sample(list(itertools.combinations(names, 2)), 40)
+    doc["exclusions"] = [{f: corner[f] for f in pair} for pair in pairs]
+    space = load_space(json.dumps(doc))
+    expected = brute_force(doc, ("DC",))
+    assert space.cartesian_size(("DC",)) == len(expected) == 56
+    assert space.cartesian_size() == 2 * 56
+    assert [c.assignment for c in space.enumerate_configs(("DC",))] == expected
+
+
+def test_budget_checked_before_first_yield(paper_scale_space):
+    stream = paper_scale_space.enumerate_configs(roles=("DC",), budget=17_999)
+    with pytest.raises(SpaceError, match="budget exceeded"):
+        next(stream)
