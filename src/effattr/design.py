@@ -147,9 +147,34 @@ def require_replicates(r: int) -> None:
         raise PlanError("replicate count r must be >= 1")
 
 
-def _trial_seed(master_seed: int, config: Configuration, replicate: int) -> int:
-    # Keyed by configuration id so reproducibility is schedule-independent.
-    return derive_seed(master_seed, config.id, replicate)
+def _plan(
+    method: str,
+    space: ConfigSpace,
+    units: Iterable[Sequence[tuple[Configuration, Mapping[str, Any]]]],
+    r: int,
+    seed: int,
+    metadata: Mapping[str, Any],
+) -> DesignPlan:
+    """Expand units into trials: unit by unit, replicates in order, and a
+    unit's (configuration, trial tags) arms adjacent within each replicate.
+
+    Trial seeds are keyed by configuration id and replicate, so
+    reproducibility is schedule-independent.
+    """
+    trials = tuple(
+        Trial(config=cfg, replicate=rep, seed=derive_seed(seed, cfg.id, rep), **tags)
+        for unit in units
+        for rep in range(r)
+        for cfg, tags in unit
+    )
+    return DesignPlan(
+        method=method,
+        trials=trials,
+        r=r,
+        master_seed=seed,
+        space_digest=space.space_digest,
+        metadata=metadata,
+    )
 
 
 # -- full factorial -------------------------------------------------------
@@ -166,22 +191,12 @@ def full_factorial(
     n_configs = space.cartesian_size()
     if n_configs * r > budget:
         raise PlanError(f"budget exceeded: {n_configs * r} trials > budget {budget}")
-    trials = []
-    for cfg in space.enumerate_configs(budget=budget):
-        for rep in range(r):
-            trials.append(Trial(config=cfg, replicate=rep, seed=_trial_seed(seed, cfg, rep)))
+    units = [[(cfg, {})] for cfg in space.enumerate_configs(budget=budget)]
     metadata = {
         "cost": n_configs,
         "factors": [{"name": f.name, "labels": list(f.labels())} for f in space.factors],
     }
-    return DesignPlan(
-        method="full_factorial",
-        trials=tuple(trials),
-        r=r,
-        master_seed=seed,
-        space_digest=space.space_digest,
-        metadata=metadata,
-    )
+    return _plan("full_factorial", space, units, r, seed, metadata)
 
 
 # -- 2^k r factorial ------------------------------------------------------
@@ -279,11 +294,6 @@ def factorial_2kr(
     require_replicates(r)
     blocks = validate_split(space, split, stratify)
     cells = draw_2kr(space, blocks, seed, stratify)
-    trials = []
-    for assignment in cells:
-        chosen = Configuration(assignment)
-        for rep in range(r):
-            trials.append(Trial(config=chosen, replicate=rep, seed=_trial_seed(seed, chosen, rep)))
     metadata = {
         "cost": len(cells),
         "k": len(blocks),
@@ -291,14 +301,8 @@ def factorial_2kr(
         "stratify": stratify,
         "split": {fname: {"low": list(lo), "high": list(hi)} for fname, (lo, hi) in blocks.items()},
     }
-    return DesignPlan(
-        method="factorial_2kr",
-        trials=tuple(trials),
-        r=r,
-        master_seed=seed,
-        space_digest=space.space_digest,
-        metadata=metadata,
-    )
+    units = [[(Configuration(assignment), {})] for assignment in cells]
+    return _plan("factorial_2kr", space, units, r, seed, metadata)
 
 
 # -- sampling -------------------------------------------------------------
@@ -449,7 +453,7 @@ def rct_plan(
         cui.level(lab)
     control, treatment = rct_indices(space, n, seed, budget)
     configs = space.pool((ROLE_DC,), budget).configs
-    trials = []
+    units = []
     for group, cui_label, arm in (
         (GROUP_CONTROL, cui_control, control),
         (GROUP_TREATMENT, cui_treatment, treatment),
@@ -461,19 +465,9 @@ def rct_plan(
                 raise PlanError(
                     f"{group} completion with {cui.name}={cui_label!r} is excluded for dc {dc.id}"
                 )
-            for rep in range(r):
-                trials.append(
-                    Trial(config=cfg, replicate=rep, group=group, seed=_trial_seed(seed, cfg, rep))
-                )
+            units.append([(cfg, {"group": group})])
     metadata = {"cost": n, "n": n, "cui_control": cui_control, "cui_treatment": cui_treatment}
-    return DesignPlan(
-        method="rct",
-        trials=tuple(trials),
-        r=r,
-        master_seed=seed,
-        space_digest=space.space_digest,
-        metadata=metadata,
-    )
+    return _plan("rct", space, units, r, seed, metadata)
 
 
 # -- paired ---------------------------------------------------------------
@@ -496,33 +490,14 @@ def paired_plan(
     require_replicates(r)
     if len({dc.id for dc in dc_sample}) != len(dc_sample):
         raise PlanError("dc_sample contains duplicate configurations; pair ids must be unique")
-    trials = []
+    units = []
     for dc in dc_sample:
         try:
             side_a, side_ref = space.pair_with(dc, cui_a, cui_ref)
         except SpaceError as exc:
             raise PlanError(str(exc)) from exc
-        for rep in range(r):
-            trials.append(
-                Trial(
-                    config=side_a,
-                    replicate=rep,
-                    group=GROUP_PAIR,
-                    pair_id=dc.id,
-                    arm=ARM_A,
-                    seed=_trial_seed(seed, side_a, rep),
-                )
-            )
-            trials.append(
-                Trial(
-                    config=side_ref,
-                    replicate=rep,
-                    group=GROUP_PAIR,
-                    pair_id=dc.id,
-                    arm=ARM_REF,
-                    seed=_trial_seed(seed, side_ref, rep),
-                )
-            )
+        tags = {"group": GROUP_PAIR, "pair_id": dc.id}
+        units.append([(side_a, {**tags, "arm": ARM_A}), (side_ref, {**tags, "arm": ARM_REF})])
     metadata = {
         "cost": len(dc_sample),
         "n_pairs": len(dc_sample),
@@ -530,11 +505,4 @@ def paired_plan(
         "cui_ref": cui_ref,
         "stratum": stratum,
     }
-    return DesignPlan(
-        method="paired",
-        trials=tuple(trials),
-        r=r,
-        master_seed=seed,
-        space_digest=space.space_digest,
-        metadata=metadata,
-    )
+    return _plan("paired", space, units, r, seed, metadata)

@@ -301,11 +301,9 @@ def _factorial_estimate(
     cui = scenario.space.cui_factor.name
     high = set(plan.metadata["split"].get(cui, {}).get("high", ()))
     is_high = {t.config.id: t.config.assignment[cui] in high for t in plan.trials}
-    by_config: dict[str, list[float]] = {}
-    for m in log.records:
-        if m.status != "ok":
-            raise ScenarioError("factorial_2kr accuracy: log contains failed measurements")
-        by_config.setdefault(m.config_id, []).append(m.value)  # type: ignore[arg-type]
+    if log.failed_count():
+        raise ScenarioError("factorial_2kr accuracy: log contains failed measurements")
+    by_config = log.ok_values()
     return factorial_contrast(
         [v for cid, v in by_config.items() if is_high[cid]],
         [v for cid, v in by_config.items() if not is_high[cid]],

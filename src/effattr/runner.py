@@ -200,6 +200,11 @@ class RunLog:
                 out.setdefault(m.config_id, []).append(m.value)  # type: ignore[arg-type]
         return out
 
+    def ok_value(self, config_id: str, replicate: int) -> float | None:
+        """The value measured for (config_id, replicate), or None if none is ok."""
+        m = self._records.get((config_id, replicate))
+        return m.value if m is not None and m.status == "ok" else None
+
     def failed_count(self) -> int:
         return sum(1 for m in self._records.values() if m.status == "failed")
 
@@ -256,6 +261,7 @@ class ExternalBackend(Backend):
 
     Placeholders ``{factor}`` are substituted with the level's opaque value
     payload. Nonzero exit or unparseable output yields a failed measurement.
+    Wall time is the command's elapsed seconds, for failed runs too.
     """
 
     name = "external"
@@ -278,13 +284,15 @@ class ExternalBackend(Backend):
 
     def measure(self, trial: Trial) -> Measurement:
         cmd = self.render(trial)
-        wall = time.time()
+        start = time.perf_counter()
         try:
             proc = subprocess.run(
                 cmd, shell=True, capture_output=True, text=True, timeout=self.timeout
             )
         except subprocess.TimeoutExpired:
+            wall = time.perf_counter() - start
             return self._failed(trial, wall, f"timeout after {self.timeout}s: {shlex.quote(cmd)}")
+        wall = time.perf_counter() - start
         if proc.returncode != 0:
             return self._failed(trial, wall, f"exit {proc.returncode}")
         lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]

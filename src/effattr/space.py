@@ -88,7 +88,7 @@ class Configuration:
     """A total assignment over some set of factors, with a canonical id."""
 
     assignment: Mapping[str, str]
-    id: str = field(default="", compare=False)
+    id: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", dict(self.assignment))
@@ -132,6 +132,11 @@ def _matches_exclusion(assignment: Mapping[str, str], exclusion: Mapping[str, st
     # A config extends an exclusion iff every excluded factor is assigned
     # exactly the excluded label. Factors absent from the assignment never match.
     return all(assignment.get(f) == lab for f, lab in exclusion.items())
+
+
+def _check_budget(size: int, budget: int) -> None:
+    if size > budget:
+        raise SpaceError(f"enumeration budget exceeded: {size} configurations > budget {budget}")
 
 
 class _Walk:
@@ -217,6 +222,9 @@ class ConfigSpace:
 
     factors: tuple[Factor, ...]
     exclusions: tuple[Mapping[str, str], ...] = ()
+    _walks: dict[tuple[str, ...], _Walk] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _pools: dict[tuple[str, ...], ConfigPool] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -279,19 +287,22 @@ class ConfigSpace:
         budget: int = DEFAULT_ENUMERATION_BUDGET,
     ) -> Iterator[Configuration]:
         """Valid configurations in lexicographic (factor order, level order) order."""
-        size = self.cartesian_size(roles)
-        if size > budget:
-            raise SpaceError(f"enumeration budget exceeded: {size} configurations > budget {budget}")
+        _check_budget(self.cartesian_size(roles), budget)
         walk = self._walk(roles)
         for labels in walk.leaves():
             yield Configuration(dict(zip(walk.names, labels)))
 
-    def _walk(self, roles: Iterable[str]) -> "_Walk":
+    def _walk(self, roles: Iterable[str]) -> _Walk:
+        """The walk over ``roles``, built on first use for a role set and kept."""
         factors = self.factors_for(roles)
-        names = {f.name for f in factors}
-        # Only exclusions entirely within the selected roles can match a
-        # configuration restricted to those roles.
-        return _Walk(factors, [e for e in self.exclusions if set(e) <= names])
+        key = tuple(sorted({f.role for f in factors}))
+        walk = self._walks.get(key)
+        if walk is None:
+            names = {f.name for f in factors}
+            # Only exclusions entirely within the selected roles can match a
+            # configuration restricted to those roles.
+            walk = self._walks[key] = _Walk(factors, [e for e in self.exclusions if set(e) <= names])
+        return walk
 
     def pool(
         self,
@@ -315,10 +326,8 @@ class ConfigSpace:
                     w *= factor_weights[fname][label]
                 weights.append(w)
             pool = self._pools[key] = ConfigPool(configs, tuple(weights))
-        elif len(pool.configs) > budget:
-            raise SpaceError(
-                f"enumeration budget exceeded: {len(pool.configs)} configurations > budget {budget}"
-            )
+        else:
+            _check_budget(len(pool.configs), budget)
         return pool
 
     # -- pairing --------------------------------------------------------

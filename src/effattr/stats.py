@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
-from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT
+from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial
 from .runner import RunLog, collapse
 from .special import betainc_inv
 
@@ -27,6 +27,10 @@ VERDICT_FAIL_TO_REJECT = "fail_to_reject"
 AVERAGE_KINDS = ("arithmetic", "weighted", "geometric")
 
 _ANOVA_MAX_FACTORS = 6
+
+# Below this distance from 1, a quantile's beta variate is inverted on its
+# complementary side (see t_quantile).
+_TAIL_SIDE = 1e-3
 
 
 class StatsError(ValueError):
@@ -67,8 +71,12 @@ def t_quantile(alpha_tail: float, df: float) -> float:
     if df < 1:
         raise StatsError(f"t_quantile: df must be >= 1, got {df}")
     # u = t^2 / (df + t^2) satisfies I_u(1/2, df/2) = 1 - 2*tail; inverting on
-    # the u side keeps full precision for large df.
+    # the u side keeps full precision for large df. Near u = 1, 1 - u cancels,
+    # so it is taken from the complementary inverse I_{1-u}(df/2, 1/2) = 2*tail.
     u = betainc_inv(0.5, df / 2.0, 1.0 - 2.0 * alpha_tail)
+    if 1.0 - u < _TAIL_SIDE:
+        v = betainc_inv(df / 2.0, 0.5, 2.0 * alpha_tail)
+        return math.sqrt(df * (1.0 - v) / v)
     return math.sqrt(df * u / (1.0 - u))
 
 
@@ -80,6 +88,9 @@ def f_quantile(alpha: float, df1: float, df2: float) -> float:
     if df1 < 1 or df2 < 1:
         raise StatsError(f"f_quantile: degrees of freedom must be >= 1, got ({df1}, {df2})")
     w = betainc_inv(df1 / 2.0, df2 / 2.0, 1.0 - alpha)
+    if 1.0 - w < _TAIL_SIDE:  # as in t_quantile: I_{1-w}(df2/2, df1/2) = alpha
+        v = betainc_inv(df2 / 2.0, df1 / 2.0, alpha)
+        return df2 * (1.0 - v) / (df1 * v)
     return df2 * w / (df1 * (1.0 - w))
 
 
@@ -199,31 +210,33 @@ def confidence_interval(diffs: DiffSample, alpha: float = 0.01) -> tuple[float, 
 # -- paired effect -----------------------------------------------------------
 
 
+def _plan_values(
+    log: RunLog, plan: DesignPlan, aggregate: str, key: Callable[[Trial], Hashable]
+) -> dict[Hashable, list[float]]:
+    """Collapsed values of each key's distinct configurations, in plan order."""
+    collapsed = collapse(log, aggregate).values
+    ids: dict[Hashable, dict[str, None]] = {}
+    for trial in plan.trials:
+        ids.setdefault(key(trial), {})[trial.config.id] = None
+    missing = sorted({cid for cids in ids.values() for cid in cids if cid not in collapsed})
+    if missing:
+        raise StatsError(f"incomplete log: no ok measurements for configurations {missing[:5]}")
+    return {k: [collapsed[cid] for cid in cids] for k, cids in ids.items()}
+
+
+def _pair_arm(trial: Trial) -> tuple[str, str]:
+    if trial.pair_id is None or trial.arm is None:
+        raise StatsError("paired plan contains a trial without pair metadata")
+    return trial.pair_id, trial.arm
+
+
 def paired_diffs(log: RunLog, plan: DesignPlan, aggregate: str = "median") -> DiffSample:
     """Collapse replicates and take per-pair differences in plan order."""
     if plan.method != "paired":
         raise StatsError(f"paired analysis requires a paired plan, got {plan.method!r}")
-    collapsed = collapse(log, aggregate)
-    pairs: dict[str, dict[str, str]] = {}
-    order: list[str] = []
-    for trial in plan.trials:
-        if trial.pair_id is None or trial.arm is None:
-            raise StatsError("paired plan contains a trial without pair metadata")
-        if trial.pair_id not in pairs:
-            pairs[trial.pair_id] = {}
-            order.append(trial.pair_id)
-        pairs[trial.pair_id][trial.arm] = trial.config.id
-    missing = [
-        cid
-        for arms in pairs.values()
-        for cid in arms.values()
-        if cid not in collapsed.values
-    ]
-    if missing:
-        raise StatsError(f"incomplete log: no ok measurements for configurations {sorted(set(missing))[:5]}")
-    diffs = tuple(
-        collapsed.values[pairs[pid][ARM_A]] - collapsed.values[pairs[pid][ARM_REF]] for pid in order
-    )
+    values = _plan_values(log, plan, aggregate, _pair_arm)
+    pair_ids = dict.fromkeys(pid for pid, _ in values)
+    diffs = tuple(values[pid, ARM_A][0] - values[pid, ARM_REF][0] for pid in pair_ids)
     return DiffSample(
         diffs=diffs,
         unit=log.header.unit,
@@ -291,18 +304,8 @@ def ate(
     """mean(treatment) - mean(control) with a Welch two-sample interval."""
     if plan.method != "rct":
         raise StatsError(f"ate requires an rct plan, got {plan.method!r}")
-    collapsed = collapse(log, aggregate)
-    arms: dict[str, list[str]] = {GROUP_CONTROL: [], GROUP_TREATMENT: []}
-    seen: set[str] = set()
-    for trial in plan.trials:
-        if trial.group not in arms or trial.config.id in seen:
-            continue
-        seen.add(trial.config.id)
-        arms[trial.group].append(trial.config.id)
-    missing = [cid for ids in arms.values() for cid in ids if cid not in collapsed.values]
-    if missing:
-        raise StatsError(f"incomplete log: no ok measurements for configurations {missing[:5]}")
-    xc, xt = ([collapsed.values[cid] for cid in arms[g]] for g in (GROUP_CONTROL, GROUP_TREATMENT))
+    values = _plan_values(log, plan, aggregate, lambda trial: trial.group)
+    xc, xt = (values.get(g, []) for g in (GROUP_CONTROL, GROUP_TREATMENT))
     return welch_estimate(xc, xt, alpha=alpha, mu0=mu0, unit=log.header.unit)
 
 
@@ -423,13 +426,8 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
     shape = tuple(len(labs) for labs in labels) + (r,)
     y = np.full(shape, np.nan)
-    ok: dict[tuple[str, int], float] = {
-        (m.config_id, m.replicate): m.value
-        for m in log.records
-        if m.status == "ok" and m.value is not None
-    }
     for trial in plan.trials:
-        value = ok.get((trial.config.id, trial.replicate))
+        value = log.ok_value(trial.config.id, trial.replicate)
         if value is None:
             raise StatsError(
                 f"anova: unbalanced design; missing ok measurement for "

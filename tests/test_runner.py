@@ -222,6 +222,13 @@ class TestExternalBackend:
         assert backend.measure(trial).status == "failed"
         assert backend.measure(trial).status == "ok"
 
+    def test_wall_time_is_elapsed_seconds(self):
+        space = self.make_space()
+        trial = make_trial({"cpu": "ht_on", "w": "w0", "t": "t0"})
+        for cmd in ("sleep 0.2; echo 1.0", "sleep 0.2; exit 3"):
+            m = ExternalBackend(cmd, space).measure(trial)
+            assert 0.1 <= m.wall_time < 30, (cmd, m)
+
     def test_unknown_placeholder_rejected(self):
         space = self.make_space()
         backend = ExternalBackend("echo {missing}", space)

@@ -232,6 +232,11 @@ def test_configuration_id_order_invariant():
     assert a.id != Configuration({"w": "w1", "t": "t1", "cpu": "on"}).id
 
 
+def test_configuration_id_is_not_an_init_parameter():
+    with pytest.raises(TypeError):
+        Configuration({"a": "x"}, id="bogus")
+
+
 def brute_force(doc, roles):
     """Valid assignments over ``roles`` by filtering the full product."""
     factors = [f for f in doc["factors"] if f["role"] in roles]
@@ -292,6 +297,18 @@ def test_forty_compatible_exclusions_count_without_blowup():
     assert space.cartesian_size(("DC",)) == len(expected) == 56
     assert space.cartesian_size() == 2 * 56
     assert [c.assignment for c in space.enumerate_configs(("DC",))] == expected
+
+
+def test_walk_built_once_per_role_set(small_space, monkeypatch):
+    import effattr.space as space_module
+
+    built = []
+    real = space_module._Walk
+    monkeypatch.setattr(space_module, "_Walk", lambda *a: built.append(a) or real(*a))
+    for roles in (("DC",), ["DC"], ("CUI", "DC"), ("DC", "CUI")):
+        small_space.cartesian_size(roles)
+        list(small_space.enumerate_configs(roles))
+    assert len(built) == 1  # the full role set's walk was built when the space was
 
 
 def test_budget_checked_before_first_yield(paper_scale_space):
