@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -98,32 +99,67 @@ def plan_digest(plan: DesignPlan) -> str:
     return plan.plan_digest
 
 
+# One element of the "trials" list of ``plan_to_json``: keys sorted, at depth 2.
+_TRIAL_JSON = (
+    '  {\n   "arm": %s,\n   "assignment": %s,\n   "group": %s,\n'
+    '   "pair_id": %s,\n   "replicate": %d,\n   "seed": %d\n  }'
+)
+
+
+def _json_opt(text: str | None) -> str:
+    return "null" if text is None else _json_str(text)
+
+
 def plan_to_json(plan: DesignPlan) -> str:
-    return json.dumps(plan.to_dict(), sort_keys=True, indent=1)
+    """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``.
+
+    Everything but the trials goes through ``json.dumps``. Trials have a
+    fixed key set, so each is a template filled with C-encoded strings, and
+    a configuration's assignment block is encoded once for all its trials.
+    """
+    head = json.dumps(replace(plan, trials=()).to_dict(), sort_keys=True, indent=1)
+    if not plan.trials:
+        return head
+    blocks: dict[int, str] = {}  # by Configuration object, which replicates share
+    parts = []
+    for t in plan.trials:
+        block = blocks.get(id(t.config))
+        if block is None:
+            entries = [f"    {_json_str(k)}: {_json_str(v)}" for k, v in sorted(t.config.assignment.items())]
+            block = blocks[id(t.config)] = "{\n" + ",\n".join(entries) + "\n   }" if entries else "{}"
+        parts.append(
+            _TRIAL_JSON
+            % (_json_opt(t.arm), block, _json_opt(t.group), _json_opt(t.pair_id), t.replicate, t.seed)
+        )
+    # The head ends in '"trials": []\n}': "trials" sorts after every other key.
+    return head[: -len("[]\n}")] + "[\n" + ",\n".join(parts) + "\n ]\n}"
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     try:
-        trials = tuple(
-            Trial(
-                config=Configuration(t["assignment"]),
-                replicate=int(t["replicate"]),
-                group=t["group"],
-                pair_id=t.get("pair_id"),
-                arm=t.get("arm"),
-                seed=int(t["seed"]),
-            )
-            for t in doc["trials"]
-        )
+        # One Configuration, and one id, per distinct assignment.
+        configs: dict[tuple[tuple[str, str], ...], Configuration] = {}
+        trials = []
+        for t in doc["trials"]:
+            key = tuple(t["assignment"].items())
+            config = configs.get(key)
+            if config is None:
+                if not all(isinstance(text, str) for item in key for text in item):
+                    raise PlanError(f"malformed plan document: assignment {t['assignment']!r} is not text")
+                config = configs[key] = Configuration(t["assignment"])
+            tags = {"group": t["group"], "pair_id": t.get("pair_id"), "arm": t.get("arm")}
+            if not all(isinstance(v, str) or v is None and k != "group" for k, v in tags.items()):
+                raise PlanError(f"malformed plan document: trial tags {tags!r} are not text")
+            trials.append(Trial(config=config, replicate=int(t["replicate"]), seed=int(t["seed"]), **tags))
         return DesignPlan(
             method=doc["method"],
-            trials=trials,
+            trials=tuple(trials),
             r=int(doc["r"]),
             master_seed=int(doc["master_seed"]),
             space_digest=doc["space_digest"],
             metadata=dict(doc.get("metadata", {})),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise PlanError(f"malformed plan document: {exc}") from exc
 
 
@@ -346,8 +382,8 @@ def sample_indices(
     if n < 0:
         raise PlanError("sample size must be >= 0")
     pool = space.pool(roles, budget)
-    if n > len(pool.configs):
-        raise PlanError(f"sample size {n} exceeds space size {len(pool.configs)}")
+    if n > len(pool.rows):
+        raise PlanError(f"sample size {n} exceeds space size {len(pool.rows)}")
     rng = random.Random(derive_seed(seed, "srs"))
     return _weighted_indices(pool.weights, n, rng)
 
@@ -366,8 +402,8 @@ def simple_random_sample(
     """
     roles = tuple(roles)
     idx = sample_indices(space, roles, n, seed, budget)
-    configs = space.pool(roles, budget).configs
-    return [configs[i] for i in idx]
+    pool = space.pool(roles, budget)
+    return [pool.config(i) for i in idx]
 
 
 def stratified_indices(
@@ -417,8 +453,8 @@ def stratified_sample(
     replacement.
     """
     idx = stratified_indices(space, stratum_factor, n, seed, budget)
-    configs = space.pool((ROLE_DC,), budget).configs
-    return [configs[i] for i in idx]
+    pool = space.pool((ROLE_DC,), budget)
+    return [pool.config(i) for i in idx]
 
 
 # -- randomized control/treatment -----------------------------------------
@@ -452,20 +488,19 @@ def rct_plan(
     for lab in (cui_control, cui_treatment):
         cui.level(lab)
     control, treatment = rct_indices(space, n, seed, budget)
-    configs = space.pool((ROLE_DC,), budget).configs
+    pool = space.pool((ROLE_DC,), budget)
     units = []
     for group, cui_label, arm in (
         (GROUP_CONTROL, cui_control, control),
         (GROUP_TREATMENT, cui_treatment, treatment),
     ):
         for i in arm:
-            dc = configs[i]
-            cfg = dc.extended({cui.name: cui_label})
-            if not space.is_valid(cfg.assignment):
+            assignment = {**dict(zip(pool.names, pool.rows[i])), cui.name: cui_label}
+            if not space.is_valid(assignment):
                 raise PlanError(
-                    f"{group} completion with {cui.name}={cui_label!r} is excluded for dc {dc.id}"
+                    f"{group} completion with {cui.name}={cui_label!r} is excluded for dc {pool.config(i).id}"
                 )
-            units.append([(cfg, {"group": group})])
+            units.append([(Configuration(assignment), {"group": group})])
     metadata = {"cost": n, "n": n, "cui_control": cui_control, "cui_treatment": cui_treatment}
     return _plan("rct", space, units, r, seed, metadata)
 

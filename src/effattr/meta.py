@@ -111,37 +111,31 @@ class Scenario:
 class ScenarioTable:
     """What the meta iterations read instead of plans and logs.
 
-    The space's DC pool (configurations in enumeration order, product
-    weights, stratum membership) and, per CUI level, each DC
-    configuration's completion as (id, noise-free response), or None where
-    the completion is excluded. Columns for the two levels under study are
-    filled on construction; other levels (a 2^k r split may draw them) on
-    first use.
+    The space's DC pool (label rows in enumeration order, product weights,
+    stratum membership) and, per CUI level, each row's completion as (id,
+    noise-free response), or None where the completion is excluded; the id
+    only seeds noise and is None without it. Columns for the two levels
+    under study are filled on construction; other levels (a 2^k r split may
+    draw them) on first use.
     """
 
     def __init__(self, scenario: "Scenario"):
         self.space, self.model = scenario.space, scenario.model
         self.pool = self.space.pool((ROLE_DC,))
-        self.dc_names = tuple(f.name for f in self.space.factors if f.role == ROLE_DC)
-        self.index = {
-            tuple(cfg.assignment[f] for f in self.dc_names): i
-            for i, cfg in enumerate(self.pool.configs)
-        }
-        self._columns: dict[str, tuple[tuple[str, float] | None, ...]] = {}
+        self.index = {row: i for i, row in enumerate(self.pool.rows)}
+        self._columns: dict[str, tuple[tuple[str | None, float] | None, ...]] = {}
         for level in (scenario.cui_a, scenario.cui_ref):
             self.column(level)
         for m in scenario.methods:
-            if m.kind == "paired" and m.stratify in self.dc_names:
+            if m.kind == "paired" and m.stratify in self.pool.names:
                 self.pool.strata(m.stratify)
 
-    def column(self, cui_level: str) -> tuple[tuple[str, float] | None, ...]:
+    def column(self, cui_level: str) -> tuple[tuple[str | None, float] | None, ...]:
         if cui_level not in self._columns:
-            self._columns[cui_level] = self.model.completions(
-                self.space, self.pool.configs, cui_level
-            )
+            self._columns[cui_level] = self.model.completions(self.space, self.pool, cui_level)
         return self._columns[cui_level]
 
-    def replicates(self, completion: tuple[str, float], r: int, seed: int) -> list[float]:
+    def replicates(self, completion: tuple[str | None, float], r: int, seed: int) -> list[float]:
         """The r values a synthetic run logs for one configuration.
 
         Same per-trial seed and noise draw as ``SyntheticBackend.measure``;
@@ -203,6 +197,16 @@ class VariabilityReport:
 # -- scenario loading --------------------------------------------------------
 
 
+def _number(doc: Mapping[str, Any], key: str, default: Any, kind: type, where: str = "") -> Any:
+    """``kind(doc[key])``, or ``default`` where the key is absent."""
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{where}{key}: must be {expected}, got {value!r}") from exc
+
+
 def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
     if isinstance(document, str):
         try:
@@ -225,8 +229,8 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
         methods.append(
             MethodSpec(
                 kind=rec["kind"],
-                n=int(rec.get("n", 0)),
-                r=int(rec.get("r", 1)),
+                n=_number(rec, "n", 0, int, f"methods[{i}]."),
+                r=_number(rec, "r", 1, int, f"methods[{i}]."),
                 stratify=rec.get("stratify"),
                 split=rec.get("split"),
                 label=rec.get("label"),
@@ -238,9 +242,9 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
             model=model,
             cui_a=document["cui_a"],
             cui_ref=document["cui_ref"],
-            alpha=float(document.get("alpha", 0.01)),
-            iterations=int(document.get("iterations", 10_000)),
-            master_seed=int(document.get("master_seed", 0)),
+            alpha=_number(document, "alpha", 0.01, float),
+            iterations=_number(document, "iterations", 10_000, int),
+            master_seed=_number(document, "master_seed", 0, int),
             methods=tuple(methods),
             direction=document.get("direction", "min"),
             aggregate=document.get("aggregate", "median"),
@@ -353,7 +357,7 @@ def _rct_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> EffectE
             if col[i] is None:
                 raise PlanError(
                     f"{group} completion with {cui}={lab!r} is excluded "
-                    f"for dc {table.pool.configs[i].id}"
+                    f"for dc {table.pool.config(i).id}"
                 )
         arms.append([col[i] for i in idx])
     xc, xt = (
@@ -376,7 +380,7 @@ def _factorial_iteration(
     high: list[list[float]] = []
     low: list[list[float]] = []
     for assignment in cells:
-        i = table.index[tuple(assignment[f] for f in table.dc_names)]
+        i = table.index[tuple(assignment[f] for f in table.pool.names)]
         completion = table.column(assignment[cui])[i]
         assert completion is not None  # draw_2kr keeps valid assignments only
         side = high if assignment[cui] in high_labels else low

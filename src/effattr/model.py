@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
+from ._util import assignment_id
+from .space import ConfigPool, ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 
 class ModelError(ValueError):
@@ -60,15 +61,18 @@ class SyntheticModel:
         return value
 
     def completions(
-        self, space: ConfigSpace, dc_configs: Sequence[Configuration], cui_level: str
-    ) -> tuple[tuple[str, float] | None, ...]:
-        """Id and noise-free response of each DC configuration completed with
-        ``cui_level``; None where the completion is excluded."""
+        self, space: ConfigSpace, pool: ConfigPool, cui_level: str
+    ) -> tuple[tuple[str | None, float] | None, ...]:
+        """Id and noise-free response of each row of ``pool`` completed with
+        ``cui_level``; None where the completion is excluded. Ids only seed
+        noise, so without noise they are None and never hashed."""
         cui = space.cui_factor.name
-        out: list[tuple[str, float] | None] = []
-        for dc in dc_configs:
-            cfg = dc.extended({cui: cui_level})
-            out.append((cfg.id, self.response(cfg)) if space.is_valid(cfg.assignment) else None)
+        out: list[tuple[str | None, float] | None] = []
+        for row in pool.rows:
+            assignment = {**dict(zip(pool.names, row)), cui: cui_level}
+            valid = space.is_valid(assignment)
+            cid = assignment_id(assignment) if valid and self.noise_sd else None
+            out.append((cid, self._evaluate(assignment)) if valid else None)
         return tuple(out)
 
     def closed_form_delta(self, space: ConfigSpace, cui_a: str, cui_ref: str) -> float:
@@ -78,7 +82,7 @@ class SyntheticModel:
         difference plus each CUI-involving interaction weighted by the
         product of its DC levels' normalized weights. With exclusions the
         product distribution no longer factorizes, so the space's DC pool
-        (its configurations and product weights) is weight-averaged instead;
+        (its label rows and product weights) is weight-averaged instead;
         both paths stay independent of the plan/run/collapse pipeline and of
         the response cache.
         """
@@ -105,9 +109,10 @@ class SyntheticModel:
         total_w = 0.0
         acc = 0.0
         pool = space.pool((ROLE_DC,))
-        for dc, w in zip(pool.configs, pool.weights):
-            side_a = space.completion(dc.assignment, cui_a, "a")
-            side_ref = space.completion(dc.assignment, cui_ref, "b")
+        for row, w in zip(pool.rows, pool.weights):
+            dc = dict(zip(pool.names, row))
+            side_a = space.completion(dc, cui_a, "a")
+            side_ref = space.completion(dc, cui_ref, "b")
             acc += w * (self._evaluate(side_a) - self._evaluate(side_ref))
             total_w += w
         if total_w <= 0:

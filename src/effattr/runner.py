@@ -10,6 +10,7 @@ execution order and parallelism.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import shlex
@@ -260,7 +261,8 @@ class ExternalBackend(Backend):
     """Run a shell command template; the measurement is the last stdout line.
 
     Placeholders ``{factor}`` are substituted with the level's opaque value
-    payload. Nonzero exit or unparseable output yields a failed measurement.
+    payload. Nonzero exit, or output that is unparseable or not finite
+    (``nan``, ``inf``), yields a failed measurement.
     Wall time is the command's elapsed seconds, for failed runs too.
     """
 
@@ -302,6 +304,8 @@ class ExternalBackend(Backend):
             value = float(lines[-1].strip())
         except ValueError:
             return self._failed(trial, wall, f"unparseable output {lines[-1].strip()!r}")
+        if not math.isfinite(value):
+            return self._failed(trial, wall, f"non-finite output {lines[-1].strip()!r}")
         return Measurement(
             config_id=trial.config.id,
             replicate=trial.replicate,

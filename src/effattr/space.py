@@ -8,6 +8,8 @@ a configuration is invalid if it extends any of them.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +43,8 @@ class Level:
     def __post_init__(self) -> None:
         if not self.label:
             raise SpaceError("level label must be nonempty")
+        if not math.isfinite(self.weight):
+            raise SpaceError(f"level {self.label!r}: weight must be finite")
         if self.weight < 0:
             raise SpaceError(f"level {self.label!r}: weight must be >= 0")
 
@@ -100,27 +104,34 @@ class Configuration:
         return Configuration(merged)
 
 
-@dataclass(frozen=True)
 class ConfigPool:
-    """Valid configurations over one role set, in enumeration order.
+    """Valid configurations over one role set, in enumeration order, as label rows.
 
-    ``weights[i]`` is the product of the normalized level weights of
-    ``configs[i]``. Built once per (space, role set) by ``ConfigSpace.pool``;
-    sampling works on positions into this pool.
+    ``rows[i]`` holds the labels of ``names``; ``weights[i]`` is the product
+    of their normalized level weights. Sampling works on positions; a
+    position's ``Configuration``, with its SHA-256 id, is built on request.
     """
 
-    configs: tuple[Configuration, ...]
-    weights: tuple[float, ...]
-    _strata: dict[str, dict[str, tuple[tuple[int, ...], tuple[float, ...]]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, names: tuple[str, ...], rows: tuple[tuple[str, ...], ...], weights: tuple[float, ...]
+    ):
+        self.names, self.rows, self.weights = names, rows, weights
+        self._configs: dict[int, Configuration] = {}
+        self._strata: dict[str, dict[str, tuple[tuple[int, ...], tuple[float, ...]]]] = {}
+
+    def config(self, i: int) -> Configuration:
+        """The configuration at position ``i``, built on first request and kept."""
+        if i not in self._configs:
+            self._configs[i] = Configuration(dict(zip(self.names, self.rows[i])))
+        return self._configs[i]
 
     def strata(self, factor: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
         """Positions and weights of the members of each level of ``factor``, by label."""
         if factor not in self._strata:
+            column = self.names.index(factor)
             members: dict[str, list[int]] = {}
-            for i, cfg in enumerate(self.configs):
-                members.setdefault(cfg.assignment[factor], []).append(i)
+            for i, row in enumerate(self.rows):
+                members.setdefault(row[column], []).append(i)
             self._strata[factor] = {
                 label: (tuple(idx), tuple(self.weights[i] for i in idx))
                 for label, idx in members.items()
@@ -154,6 +165,7 @@ class _Walk:
 
     def __init__(self, factors: Sequence[Factor], exclusions: Sequence[Mapping[str, str]]):
         self.names = tuple(f.name for f in factors)
+        self.level_weights = [f.normalized_weights() for f in factors]
         depth_of = {name: d for d, name in enumerate(self.names)}
         # Per depth, the exclusions whose first factor it is; per level,
         # [label, bits it kills, bits it completes, bits it starts].
@@ -215,6 +227,14 @@ class _Walk:
                 path.append(edge[0])
                 stack.append(iter(self.edges[len(stack)][edge[1]]))
 
+    @cached_property
+    def pool(self) -> ConfigPool:
+        """The leaves as pool rows, built on first use. Weights are multiplied in
+        factor order from 1: samples depend on their exact bits."""
+        rows = tuple(self.leaves())
+        weights = tuple(math.prod(map(dict.__getitem__, self.level_weights, row)) for row in rows)
+        return ConfigPool(self.names, rows, weights)
+
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -223,9 +243,6 @@ class ConfigSpace:
     factors: tuple[Factor, ...]
     exclusions: tuple[Mapping[str, str], ...] = ()
     _walks: dict[tuple[str, ...], _Walk] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _pools: dict[tuple[str, ...], ConfigPool] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -287,8 +304,8 @@ class ConfigSpace:
         budget: int = DEFAULT_ENUMERATION_BUDGET,
     ) -> Iterator[Configuration]:
         """Valid configurations in lexicographic (factor order, level order) order."""
-        _check_budget(self.cartesian_size(roles), budget)
         walk = self._walk(roles)
+        _check_budget(walk.count, budget)
         for labels in walk.leaves():
             yield Configuration(dict(zip(walk.names, labels)))
 
@@ -311,24 +328,12 @@ class ConfigSpace:
     ) -> ConfigPool:
         """The valid configurations over ``roles`` with their product weights.
 
-        Enumerated on first use for a role set and kept with the space;
-        the budget is checked on every call.
+        Taken from the walk's leaves on first use for a role set and kept
+        with the walk; the budget is checked on every call, before that.
         """
-        key = tuple(sorted(set(roles)))
-        pool = self._pools.get(key)
-        if pool is None:
-            factor_weights = {f.name: f.normalized_weights() for f in self.factors}
-            configs = tuple(self.enumerate_configs(key, budget=budget))
-            weights = []
-            for cfg in configs:
-                w = 1.0
-                for fname, label in cfg.assignment.items():
-                    w *= factor_weights[fname][label]
-                weights.append(w)
-            pool = self._pools[key] = ConfigPool(configs, tuple(weights))
-        else:
-            _check_budget(len(pool.configs), budget)
-        return pool
+        walk = self._walk(roles)
+        _check_budget(walk.count, budget)
+        return walk.pool
 
     # -- pairing --------------------------------------------------------
 
@@ -430,6 +435,8 @@ def load_space(document: str | Mapping[str, Any]) -> ConfigSpace:
             weight = rl.get("weight", 1.0)
             if not isinstance(weight, (int, float)) or isinstance(weight, bool):
                 raise SpaceError(f"{lpath}.weight: must be a number")
+            if not abs(weight) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+                raise SpaceError(f"{lpath}.weight: must be finite")
             if weight < 0:
                 raise SpaceError(f"{lpath}.weight: must be >= 0")
             levels.append(Level(label=label, value=value, weight=float(weight)))

@@ -197,6 +197,21 @@ class TestRunCommand:
         records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
         assert all(r["status"] == "failed" for r in records)
 
+    @pytest.mark.parametrize("output", ["nan", "inf", "-inf"])
+    def test_non_finite_external_output_is_a_failed_measurement(self, ws, capsys, output):
+        plan_path = self.plan(ws, capsys)
+        log_path = ws["dir"] / "nonfinite.jsonl"
+        code, out, _ = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", f"external:echo {output}", "--space", ws["space"],
+        )
+        assert code == 3
+        assert out == "16 new trials, 16 failed\n"
+        records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
+        assert len(records) == 16
+        assert all(r["status"] == "failed" and r["value"] is None for r in records)
+        assert {r["reason"] for r in records} == {f"non-finite output {output!r}"}
+
     def test_external_success_parses_values(self, ws, capsys):
         plan_path = self.plan(ws, capsys)
         log_path = ws["dir"] / "ok.jsonl"

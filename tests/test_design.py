@@ -213,9 +213,11 @@ class TestSamplingCore:
     def test_pool_cached_and_budget_checked_per_call(self, small_space):
         pool = small_space.pool(("DC",))
         assert small_space.pool(["DC"]) is pool
-        assert [c.id for c in pool.configs] == [c.id for c in small_space.enumerate_configs(("DC",))]
+        configs = [pool.config(i) for i in range(len(pool.rows))]
+        assert [c.id for c in configs] == [c.id for c in small_space.enumerate_configs(("DC",))]
+        assert all(pool.config(i) is c for i, c in enumerate(configs))
         with pytest.raises(SpaceError, match="budget"):
-            small_space.pool(("DC",), budget=len(pool.configs) - 1)
+            small_space.pool(("DC",), budget=len(pool.rows) - 1)
 
 
 class TestStratifiedSample:

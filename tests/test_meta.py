@@ -26,6 +26,7 @@ from effattr import (
     simple_random_sample,
     variability,
 )
+from effattr.cli import main
 from effattr.meta import MethodSpec, Scenario
 from conftest import space_doc
 
@@ -357,6 +358,33 @@ class TestScenarioLoading:
         doc["cui_a"] = "missing"
         with pytest.raises(ScenarioError, match="no level"):
             load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("iterations",), None, "iterations: must be an integer, got None"),
+            (("master_seed",), "seven", "master_seed: must be an integer, got 'seven'"),
+            (("alpha",), [0.05], r"alpha: must be a number, got \[0.05\]"),
+            (("iterations",), float("inf"), "iterations: must be an integer, got inf"),
+            (("methods", 0, "n"), None, r"methods\[0\]\.n: must be an integer, got None"),
+            (("methods", 0, "r"), {}, r"methods\[0\]\.r: must be an integer, got \{\}"),
+        ],
+        ids=["iterations-null", "master_seed-text", "alpha-list", "iterations-inf", "n-null", "r-object"],
+    )
+    def test_wrongly_typed_number_names_its_key(self, path, value, message, tmp_path, capsys):
+        doc = self.doc()
+        *outer, key = path
+        target = doc
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(doc)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        assert main(["meta", "--scenario", str(scenario_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and key in err
 
     def test_unknown_aggregate_rejected(self):
         doc = self.doc()

@@ -215,10 +215,10 @@ def test_bad_aggregate_rejected_at_construction():
 def test_table_is_built_once_and_filled_through_the_model():
     sc = scenario(EXCLUDED, 0.8)
     calls = []
-    response = sc.model.response
-    sc.model.response = lambda cfg: calls.append(cfg.id) or response(cfg)  # type: ignore[method-assign]
+    evaluate = sc.model._evaluate
+    sc.model._evaluate = lambda a: calls.append(tuple(sorted(a.items()))) or evaluate(a)  # type: ignore[method-assign]
     table = sc.table
-    # one response per valid completion of each level under study
+    # one evaluation per valid completion of each level under study
     assert len(calls) == sum(c is not None for lv in ("ht_off", "ht_on") for c in table.column(lv))
     for seed in SEEDS:
         _one_iteration(sc, PAIRED_STRATIFIED, seed)

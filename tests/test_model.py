@@ -47,10 +47,14 @@ def test_completions_match_responses():
             "exclusions": [{"cpu": "off", "w": "w1"}],
         }
     )
-    model = SyntheticModel(1.0, {("cpu", "off"): 0.5, ("w", "w1"): 2.0})
-    dcs = space.pool((ROLE_DC,)).configs
-    column = model.completions(space, dcs, "off")
-    on = model.completions(space, dcs, "on")
+    effects = {("cpu", "off"): 0.5, ("w", "w1"): 2.0}
+    pool = space.pool((ROLE_DC,))
+    dcs = [pool.config(i) for i in range(len(pool.rows))]
+    noisy = SyntheticModel(1.0, effects, noise_sd=0.5)
+    column = noisy.completions(space, pool, "off")
+    on = noisy.completions(space, pool, "on")
     assert column[1] is None
     assert column[0] == (dcs[0].extended({"cpu": "off"}).id, 1.5)
     assert on == tuple((c.extended({"cpu": "on"}).id, 1.0 + 2.0 * i) for i, c in enumerate(dcs))
+    # Without noise no trial seed reads the ids, so none is hashed.
+    assert SyntheticModel(1.0, effects).completions(space, pool, "on") == ((None, 1.0), (None, 3.0))

@@ -1,0 +1,165 @@
+"""Plan files: the writer's bytes equal the ``indent=1`` JSON oracle, loading
+shares one configuration per distinct assignment, and planning hashes only
+the configurations a plan uses."""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import effattr.space as space_module
+from effattr import (
+    PlanError,
+    factorial_2kr,
+    full_factorial,
+    load_space,
+    paired_plan,
+    rct_plan,
+    simple_random_sample,
+    stratified_sample,
+)
+from effattr.cli import main
+from effattr.design import plan_digest, plan_from_json, plan_to_json
+from conftest import space_doc
+
+
+def oracle(plan) -> str:
+    return json.dumps(plan.to_dict(), sort_keys=True, indent=1)
+
+
+SPACE = space_doc(dc_counts=(5, 4, 2), exclusions=({"w": "w0", "t": "t1"},))
+SPLIT = {
+    "cpu": {"low": ["ht_on"], "high": ["ht_off"]},
+    "w": {"low": ["w0", "w1"], "high": ["w2", "w3", "w4"]},
+    "t": {"low": ["t0", "t1"], "high": ["t2", "t3"]},
+    "d": {"low": ["d0"], "high": ["d1"]},
+}
+BUILDERS = {
+    "full": lambda s, r: full_factorial(s, r, seed=7),
+    "2kr": lambda s, r: factorial_2kr(s, SPLIT, r, seed=7),
+    "2kr-stratified": lambda s, r: factorial_2kr(
+        s, {k: v for k, v in SPLIT.items() if k != "w"}, r, seed=7, stratify="w"
+    ),
+    "rct": lambda s, r: rct_plan(s, "ht_on", "ht_off", n=8, r=r, seed=7),
+    "paired": lambda s, r: paired_plan(
+        s, "ht_off", "ht_on", simple_random_sample(s, ("DC",), 6, seed=7), r, seed=7
+    ),
+    "paired-stratified": lambda s, r: paired_plan(
+        s, "ht_off", "ht_on", stratified_sample(s, "w", 6, seed=7), r, seed=7, stratum="w"
+    ),
+    "paired-empty": lambda s, r: paired_plan(s, "ht_off", "ht_on", [], r, seed=7),
+}
+
+
+def assert_round_trip(plan, text):
+    loaded = plan_from_json(text)
+    assert loaded.to_dict() == plan.to_dict()
+    assert plan_to_json(loaded) == text
+    assert plan_digest(loaded) == plan_digest(plan)
+    # One Configuration object per distinct assignment, shared by its trials.
+    shared = {}
+    for t in loaded.trials:
+        key = json.dumps(t.config.assignment, sort_keys=True)
+        assert shared.setdefault(key, t.config) is t.config
+    assert len({id(t.config) for t in loaded.trials}) == len(shared)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_writer_equals_oracle_and_round_trips(builder, r):
+    plan = BUILDERS[builder](load_space(SPACE), r)
+    text = plan_to_json(plan)
+    assert text == oracle(plan)
+    assert_round_trip(plan, text)
+
+
+# Quotes, backslashes, control characters (the unit separator among them),
+# non-ASCII and a character outside the BMP, which ASCII JSON writes as a
+# surrogate pair.
+_TEXT = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "/", " ", "é", "中", "\U0001f600"]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def odd_spaces(draw):
+    names = draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True))
+    factors = []
+    for i, name in enumerate(names):
+        labels = draw(st.lists(_TEXT, min_size=2 if i == 0 else 1, max_size=3, unique=True))
+        factors.append(
+            {
+                "name": name,
+                "role": "CUI" if i == 0 else "DC",
+                "levels": [{"label": lab, "value": lab} for lab in labels],
+            }
+        )
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_spaces(), st.integers(1, 3), st.integers(0, 2**32))
+def test_writer_equals_oracle_on_odd_names_and_labels(factors, r, seed):
+    space = load_space({"factors": factors})
+    cui = [lv["label"] for lv in factors[0]["levels"]]
+    dc = simple_random_sample(space, ("DC",), min(3, space.cartesian_size(("DC",))), seed)
+    for plan in (
+        full_factorial(space, r, seed=seed),
+        paired_plan(space, cui[0], cui[1], dc, r, seed=seed),
+        rct_plan(space, cui[1], cui[0], n=2 * (len(dc) // 2), r=r, seed=seed),
+    ):
+        text = plan_to_json(plan)
+        assert text == oracle(plan)
+        assert_round_trip(plan, text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("assignment", {"cpu": 1}), ("assignment", {"cpu": ["ht_on"]}), ("assignment", ["cpu"]),
+     ("group", None), ("arm", 5), ("pair_id", ["p"])],
+)
+def test_loader_rejects_what_the_writer_cannot_write(field, value):
+    doc = json.loads(plan_to_json(BUILDERS["paired"](load_space(SPACE), 1)))
+    doc["trials"][1][field] = value
+    with pytest.raises(PlanError, match="malformed plan document"):
+        plan_from_json(json.dumps(doc))
+
+
+def test_paired_planning_hashes_only_the_configurations_it_uses(tmp_path, monkeypatch):
+    # Shaped like the benchmark's exclusion-heavy spaces: a two-level CUI,
+    # twelve two-level DC factors, pairwise exclusions at one corner of the
+    # DC grid and a few six-factor ones.
+    rng = random.Random(3)
+    names = [f"f{i:02d}" for i in range(12)]
+    corner = {n: rng.choice(("lo", "hi")) for n in names}
+    flip = {"lo": "hi", "hi": "lo"}
+    pairs = rng.sample([(a, b) for i, a in enumerate(names) for b in names[i + 1 :]], 10)
+    exclusions = [{f: corner[f] for f in pair} for pair in pairs]
+    for _ in range(2):
+        chosen = rng.sample(names, 6)
+        exclusions.append({f: flip[corner[f]] if i < 3 else corner[f] for i, f in enumerate(chosen)})
+    two = [{"label": "lo"}, {"label": "hi"}]
+    doc = {
+        "factors": [{"name": "cui", "role": "CUI", "levels": [{"label": "a"}, {"label": "b"}]}]
+        + [{"name": n, "role": "DC", "levels": two} for n in names],
+        "exclusions": exclusions,
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    n = 48
+    assert load_space(doc).cartesian_size(("DC",)) > 10 * n
+
+    calls = []
+    real = space_module.assignment_id
+    monkeypatch.setattr(space_module, "assignment_id", lambda a: calls.append(1) or real(a))
+    argv = ["plan", "paired", "--space", path, "--plan-out", tmp_path / "plan.json", "--n", n,
+            "--cui-a", "a", "--cui-ref", "b", "--seed", "7", "--out", tmp_path / "out.txt"]
+    assert main([str(a) for a in argv]) == 0
+    # n drawn DC configurations (their ids are the pair ids) and 2n arms.
+    assert len(calls) <= 3 * n

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effattr import Configuration, SpaceError, load_space
+from effattr.space import Level
 from conftest import space_doc
 
 
@@ -73,6 +74,22 @@ class TestLoadSpace:
         with pytest.raises(SpaceError, match="not valid JSON"):
             load_space("{nope")
 
+    @pytest.mark.parametrize(
+        "weight",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "int-10^400"],
+    )
+    def test_non_finite_weight_rejected(self, weight):
+        doc = space_doc(dc_counts=(2,))
+        text = json.dumps(doc).replace('"label": "w0"', f'"label": "w0", "weight": {weight}')
+        with pytest.raises(SpaceError, match=r"factors\[1\]\.levels\[0\]\.weight: must be finite"):
+            load_space(text)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_level_weight_rejected(self, weight):
+        with pytest.raises(SpaceError, match="weight must be finite"):
+            Level(label="x", value="x", weight=weight)
+
 
 class TestCartesianSize:
     def test_product_rule(self):
@@ -123,6 +140,13 @@ class TestEnumerate:
     def test_budget_guard(self, paper_scale_space):
         with pytest.raises(SpaceError, match="budget exceeded"):
             list(paper_scale_space.enumerate_configs(roles=("DC",), budget=100))
+
+    def test_roles_may_be_a_generator(self, small_space):
+        expected = [c.id for c in small_space.enumerate_configs(("DC",))]
+        assert [c.id for c in small_space.enumerate_configs(r for r in ["DC"])] == expected
+
+    def test_pool_roles_may_be_a_generator(self, small_space):
+        assert small_space.pool(r for r in ["DC"]) is small_space.pool(("DC",))
 
 
 @st.composite
