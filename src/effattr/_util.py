@@ -6,7 +6,10 @@ import hashlib
 import json
 from typing import Any
 
-_SEP = "\x1f"  # unit separator: cannot appear in labels/names we accept
+# Unit separator between ``derive_seed`` parts. Labels may contain it, but
+# each call site passes a fixed number of parts of which at most one is free
+# text (a label), so the joined text still has one reading per call site.
+_SEP = "\x1f"
 
 
 def canonical_json(obj: Any) -> str:

@@ -199,7 +199,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _make_backend(args: argparse.Namespace) -> runner.Backend:
+def _make_backend(args: argparse.Namespace, plan: design.DesignPlan) -> runner.Backend:
     spec = args.backend
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -210,13 +210,18 @@ def _make_backend(args: argparse.Namespace) -> runner.Backend:
         if not args.space:
             raise runner.RunError("external backend requires --space to resolve level values")
         space = load_space_file(args.space)
+        if space.space_digest != plan.space_digest:
+            raise runner.RunError(
+                f"space/plan mismatch: --space has digest {space.space_digest[:12]}, "
+                f"the plan was built on space {plan.space_digest[:12]}"
+            )
         return runner.ExternalBackend(rest, space, unit=args.unit, timeout=args.timeout)
     raise runner.RunError(f"unknown backend kind {kind!r}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = design.load_plan(args.plan)
-    backend = _make_backend(args)
+    backend = _make_backend(args, plan)
     log_path = Path(args.log)
     if log_path.exists():
         log = runner.RunLog.load(log_path)

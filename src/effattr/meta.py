@@ -12,7 +12,6 @@ estimates the plan -> run -> analyze pipeline would.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +29,7 @@ from .design import (
     stratified_indices,
     validate_split,
 )
-from .model import ModelError, SyntheticModel, load_model
+from .model import ModelError, SyntheticModel, gauss_noise, load_model
 from .runner import AGGREGATE_METHODS, RunLog, aggregate, collapse
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError, load_space
 from .stats import (
@@ -129,6 +128,8 @@ class ScenarioTable:
         for m in scenario.methods:
             if m.kind == "paired" and m.stratify in self.pool.names:
                 self.pool.strata(m.stratify)
+        self._seed: int | None = None
+        self._draws: dict[str | None, list[float]] = {}
 
     def column(self, cui_level: str) -> tuple[tuple[str | None, float] | None, ...]:
         if cui_level not in self._columns:
@@ -139,16 +140,22 @@ class ScenarioTable:
         """The r values a synthetic run logs for one configuration.
 
         Same per-trial seed and noise draw as ``SyntheticBackend.measure``;
-        without noise the seeds are unused and not derived.
+        without noise the seeds are unused and not derived. Method rows of
+        one iteration share its seed and often draw the same configurations
+        (top-n draws nest), so the current seed's values are kept, per
+        completion id in replicate order, and dropped when the seed changes.
         """
         cid, response = completion
         sd = self.model.noise_sd
         if sd == 0:
             return [response] * r
-        return [
-            response + random.Random(derive_seed(seed, cid, rep)).gauss(0.0, sd)
-            for rep in range(r)
-        ]
+        if seed != self._seed:
+            self._seed = seed
+            self._draws.clear()
+        values = self._draws.setdefault(cid, [])
+        for rep in range(len(values), r):
+            values.append(response + gauss_noise(derive_seed(seed, cid, rep), sd))
+        return values[:r]
 
 
 @dataclass(frozen=True)
@@ -414,34 +421,38 @@ def accuracy_cost(scenario: Scenario) -> list[AccuracyRow]:
 
     Iteration j of every method row shares the seed derived from
     (master seed, j), so rows are comparable across methods and runs.
+    Iterations run in order, each over every row, so rows of one iteration
+    reuse each other's noise draws; each row's widths are still summed in
+    iteration order. A failure names the row that fails at the earliest
+    iteration, the earlier declared row first.
     """
     truth = scenario.truth
-    if scenario.methods:
+    methods = scenario.methods
+    if methods:
         scenario.table  # built here, once, rather than inside the first estimate
-    rows = []
-    for method in scenario.methods:
-        covered = 0
-        widths = 0.0
-        cost = 0
-        for j in range(scenario.iterations):
-            seed = derive_seed(scenario.master_seed, "iter", j)
+    covered = [0] * len(methods)
+    widths = [0.0] * len(methods)
+    costs = [0] * len(methods)
+    for j in range(scenario.iterations):
+        seed = derive_seed(scenario.master_seed, "iter", j)
+        for k, method in enumerate(methods):
             try:
-                estimate, cost = _one_iteration(scenario, method, seed)
+                estimate, costs[k] = _one_iteration(scenario, method, seed)
             except (PlanError, StatsError) as exc:
                 raise ScenarioError(f"method {method.name}: {exc}") from exc
             if estimate.covers(truth):
-                covered += 1
-            widths += estimate.width
-        rows.append(
-            AccuracyRow(
-                method=method.name,
-                cost=cost,
-                accuracy=covered / scenario.iterations,
-                mean_ci_width=widths / scenario.iterations,
-                iterations=scenario.iterations,
-            )
+                covered[k] += 1
+            widths[k] += estimate.width
+    return [
+        AccuracyRow(
+            method=method.name,
+            cost=cost,
+            accuracy=hits / scenario.iterations,
+            mean_ci_width=width / scenario.iterations,
+            iterations=scenario.iterations,
         )
-    return rows
+        for method, cost, hits, width in zip(methods, costs, covered, widths)
+    ]
 
 
 # -- best CUI selection ---------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import shlex
 import statistics
 import subprocess
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
 from .design import DesignPlan, Trial, plan_digest
-from .model import SyntheticModel
+from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
 
 
@@ -247,7 +246,7 @@ class SyntheticBackend(Backend):
     def measure(self, trial: Trial) -> Measurement:
         value = self.model.response(trial.config)
         if self.model.noise_sd > 0:
-            value += random.Random(trial.seed).gauss(0.0, self.model.noise_sd)
+            value += gauss_noise(trial.seed, self.model.noise_sd)
         return Measurement(
             config_id=trial.config.id,
             replicate=trial.replicate,

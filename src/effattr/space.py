@@ -43,6 +43,8 @@ class Level:
     def __post_init__(self) -> None:
         if not self.label:
             raise SpaceError("level label must be nonempty")
+        if "\n" in self.label:
+            raise SpaceError(f"level {self.label!r}: label must not contain a newline")
         if not math.isfinite(self.weight):
             raise SpaceError(f"level {self.label!r}: weight must be finite")
         if self.weight < 0:
@@ -59,6 +61,11 @@ class Factor:
     stratum: bool = False
 
     def __post_init__(self) -> None:
+        # Configuration ids hash "name=label" lines (``assignment_id``); with
+        # no '=' or newline in names and no newline in labels (``Level``),
+        # that text, and so the id, has one reading.
+        if "=" in self.name or "\n" in self.name:
+            raise SpaceError(f"factor {self.name!r}: name must not contain '=' or a newline")
         if self.role not in ALL_ROLES:
             raise SpaceError(f"factor {self.name!r}: role must be CUI or DC, got {self.role!r}")
         if not self.levels:
@@ -439,7 +446,10 @@ def load_space(document: str | Mapping[str, Any]) -> ConfigSpace:
                 raise SpaceError(f"{lpath}.weight: must be finite")
             if weight < 0:
                 raise SpaceError(f"{lpath}.weight: must be >= 0")
-            levels.append(Level(label=label, value=value, weight=float(weight)))
+            try:
+                levels.append(Level(label=label, value=value, weight=float(weight)))
+            except SpaceError as exc:
+                raise SpaceError(f"{lpath}: {exc}") from exc
         try:
             factors.append(
                 Factor(name=name, role=role, levels=tuple(levels), stratum=bool(rf.get("stratum", False)))

@@ -36,6 +36,16 @@ def space_doc(
     return {"factors": factors, "exclusions": [dict(e) for e in exclusions]}
 
 
+def colliding_doc():
+    """DC factors a (labels p, "p\\nb=q") and b (labels "q\\nb=r", r)."""
+    doc = space_doc(dc_counts=())
+    doc["factors"] += [
+        {"name": "a", "role": "DC", "levels": [{"label": "p"}, {"label": "p\nb=q"}]},
+        {"name": "b", "role": "DC", "levels": [{"label": "q\nb=r"}, {"label": "r"}]},
+    ]
+    return doc
+
+
 @pytest.fixture
 def small_space():
     """2-level CUI x (5 x 4) DC grid, workload factor is the stratum."""

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from effattr import load_plan
+from effattr import load_plan, load_space_file
 from effattr.cli import main
-from conftest import space_doc
+from conftest import colliding_doc, space_doc
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -50,6 +52,13 @@ class TestSpaceCommand:
         code, out, _ = run_cli(capsys, "space", "size", ws["big_space"])
         assert code == 0
         assert "DC cardinality: 18000" in out
+
+    def test_labels_with_colliding_ids_are_domain_error(self, capsys, tmp_path):
+        bad = tmp_path / "collide.json"
+        bad.write_text(json.dumps(colliding_doc()))
+        code, _, err = run_cli(capsys, "space", "validate", bad)
+        assert code == 1
+        assert "factors[1].levels[1]" in err and "newline" in err
 
     def test_missing_cui_is_domain_error(self, ws, capsys, tmp_path):
         doc = space_doc(dc_counts=(2,))
@@ -184,6 +193,23 @@ class TestRunCommand:
             for log_path in (whole, cut)
         ]
         assert reports[0] == reports[1] and reports[0][0] == 0
+
+    def test_external_space_must_match_the_plan(self, tmp_path, capsys):
+        plan_path, log_path = tmp_path / "plan.json", tmp_path / "log.jsonl"
+        code, _, _ = run_cli(
+            capsys, "plan", "full", "--space", SCENARIOS / "cpu_space.json",
+            "--plan-out", plan_path, "--r", "1", "--seed", "1",
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", "external:echo 1", "--space", SCENARIOS / "cpu_space_complete.json",
+        )
+        planned = load_plan(plan_path).space_digest[:12]
+        given = load_space_file(SCENARIOS / "cpu_space_complete.json").space_digest[:12]
+        assert code == 1
+        assert "space/plan mismatch" in err and planned in err and given in err
+        assert not log_path.exists()
 
     def test_failing_external_command_gives_partial_code(self, ws, capsys):
         plan_path = self.plan(ws, capsys)

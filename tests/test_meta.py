@@ -200,6 +200,31 @@ class TestAccuracyCost:
         with pytest.raises(ScenarioError, match="exceeds space size"):
             accuracy_cost(scenario)
 
+    def test_two_bad_rows_report_the_earliest_iteration(self):
+        # Stratum w1 keeps one valid configuration, so the stratified row fails
+        # whenever the seeded remainder draw gives w1 a second member; the
+        # oversized row fails at every iteration.
+        doc = space_doc(dc_counts=(2, 3), exclusions=({"w": "w1", "t": "t0"}, {"w": "w1", "t": "t1"}))
+        space = load_space(json.dumps(doc))
+        model = SyntheticModel(baseline=10.0, main_effects={("cpu", "ht_off"): 2.0}, noise_sd=0.5)
+        sometimes = MethodSpec(kind="paired", n=3, r=1, stratify="w", label="sometimes")
+        always = MethodSpec(kind="paired", n=99, r=1, label="always")
+
+        def error(seed, methods):
+            scenario = make_scenario(space, model, methods=methods, iterations=4, seed=seed)
+            with pytest.raises(ScenarioError) as info:
+                accuracy_cost(scenario)
+            return str(info.value)
+
+        # At master seed 0 the stratified row first fails at iteration 2, so a
+        # row-by-row loop would have named it; iterations run first, and the
+        # oversized row fails at iteration 0.
+        assert "method sometimes: stratum 'w1'" in error(0, [sometimes])
+        assert "method always: sample size 99" in error(0, [sometimes, always])
+        # At master seed 1 both rows fail at iteration 0: the declared order decides.
+        assert "method sometimes:" in error(1, [sometimes, always])
+        assert "method always:" in error(1, [always, sometimes])
+
     def test_paired_beats_rct_under_dc_dominant_variance(self):
         # The headline ordering, scaled down; acceptance runs the full
         # version. Pairing cancels the DC main effects exactly, so the

@@ -79,9 +79,10 @@ def test_writer_equals_oracle_and_round_trips(builder, r):
 
 # Quotes, backslashes, control characters (the unit separator among them),
 # non-ASCII and a character outside the BMP, which ASCII JSON writes as a
-# surrogate pair.
+# surrogate pair. No newline and no '=': a space rejects them in names, and
+# newlines in labels.
 _TEXT = st.text(
-    alphabet=st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "/", " ", "é", "中", "\U0001f600"]),
+    alphabet=st.sampled_from(['"', "\\", "\t", "\x00", "\x1f", "\x7f", "a", "/", " ", "é", "中", "\U0001f600"]),
     min_size=1,
     max_size=4,
 )

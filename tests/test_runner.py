@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,9 @@ from effattr import (
     aggregate,
     collapse,
     full_factorial,
+    load_model_file,
     load_space,
+    load_space_file,
     new_log,
     paired_plan,
     run,
@@ -25,6 +28,8 @@ from effattr import (
 )
 from effattr.design import Trial
 from conftest import space_doc
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_trial(assignment, replicate=0, seed=123):
@@ -65,9 +70,15 @@ class TestRun:
         assert again.executed == 0 and again.skipped == 16
         log.close()
 
-    def test_byte_identical_logs_across_parallelism(self, small_space, tmp_path):
-        model = SyntheticModel(baseline=3.0, main_effects={("cpu", "ht_off"): 1.0}, noise_sd=0.7)
-        plan = full_factorial(small_space, r=3, seed=9)
+    @pytest.mark.parametrize("bundled", [False, True], ids=["small", "smt"])
+    def test_byte_identical_logs_across_parallelism(self, small_space, tmp_path, bundled):
+        if bundled:
+            space = load_space_file(SCENARIOS / "cpu_space.json")
+            model = load_model_file(SCENARIOS / "smt_model.json")
+        else:
+            space = small_space
+            model = SyntheticModel(baseline=3.0, main_effects={("cpu", "ht_off"): 1.0}, noise_sd=0.7)
+        plan = full_factorial(space, r=3, seed=9)
         backend = SyntheticBackend(model)
         paths = []
         for i, workers in enumerate((1, 4)):

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effattr import Configuration, SpaceError, load_space
+from effattr._util import assignment_id
 from effattr.space import Level
-from conftest import space_doc
+from conftest import colliding_doc, space_doc
 
 
 class TestLoadSpace:
@@ -89,6 +90,24 @@ class TestLoadSpace:
     def test_non_finite_level_weight_rejected(self, weight):
         with pytest.raises(SpaceError, match="weight must be finite"):
             Level(label="x", value="x", weight=weight)
+
+    def test_label_and_name_that_make_ids_collide_rejected(self):
+        # "a=p\nb=q\nb=r" is the id text of both (a=p, b="q\nb=r") and
+        # (a="p\nb=q", b=r): four trials of a full factorial had three ids.
+        assert assignment_id({"a": "p", "b": "q\nb=r"}) == assignment_id({"a": "p\nb=q", "b": "r"})
+        doc = colliding_doc()
+        with pytest.raises(SpaceError, match=r"factors\[1\]\.levels\[1\]: .*must not contain a newline"):
+            load_space(json.dumps(doc))
+        doc["factors"][1]["levels"][1]["label"] = "p b=q"
+        doc["factors"][2]["levels"][0]["label"] = "q b=r"
+        load_space(json.dumps(doc))  # '=' in a label stays valid
+
+    @pytest.mark.parametrize("name", ["a=b", "a\nb", "="])
+    def test_factor_name_with_equals_or_newline_rejected(self, name):
+        doc = space_doc()
+        doc["factors"][1]["name"] = name
+        with pytest.raises(SpaceError, match=r"factors\[1\]: .*must not contain '=' or a newline"):
+            load_space(json.dumps(doc))
 
 
 class TestCartesianSize:
