@@ -43,6 +43,7 @@ from .runner import (
     RunReport,
     SyntheticBackend,
     aggregate,
+    check_log,
     collapse,
     new_log,
     run,

@@ -200,6 +200,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _make_backend(args: argparse.Namespace, plan: design.DesignPlan) -> runner.Backend:
+    space = None
+    if args.space:
+        space = load_space_file(args.space)
+        if space.space_digest != plan.space_digest:
+            raise runner.RunError(
+                f"space/plan mismatch: --space has digest {space.space_digest[:12]}, "
+                f"the plan was built on space {plan.space_digest[:12]}"
+            )
     spec = args.backend
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -207,14 +215,8 @@ def _make_backend(args: argparse.Namespace, plan: design.DesignPlan) -> runner.B
     if kind == "synthetic":
         return runner.SyntheticBackend(load_model_file(rest))
     if kind == "external":
-        if not args.space:
+        if space is None:
             raise runner.RunError("external backend requires --space to resolve level values")
-        space = load_space_file(args.space)
-        if space.space_digest != plan.space_digest:
-            raise runner.RunError(
-                f"space/plan mismatch: --space has digest {space.space_digest[:12]}, "
-                f"the plan was built on space {plan.space_digest[:12]}"
-            )
         return runner.ExternalBackend(rest, space, unit=args.unit, timeout=args.timeout)
     raise runner.RunError(f"unknown backend kind {kind!r}")
 
@@ -243,6 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     plan = design.load_plan(args.plan)
     log = runner.RunLog.load(args.log)
     log.close()
+    runner.check_log(log, plan)
     fmt = args.format or "plain"
     if args.what == "anova":
         table = stats.anova(log, plan, alpha=args.alpha)
@@ -324,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--plan", required=True)
     p_run.add_argument("--log", required=True)
     p_run.add_argument("--backend", required=True, help="synthetic:<model.json> or external:<template>")
-    p_run.add_argument("--space", default=None, help="space document (external backend)")
-    p_run.add_argument("--parallelism", type=int, default=1)
+    p_run.add_argument(
+        "--space", default=None, help="space document, checked against the plan (required by the external backend)"
+    )
+    p_run.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="trials at once in threads, which overlap external commands; synthetic trials run in the calling thread",
+    )
     p_run.add_argument("--retry", type=int, default=0, help="in-run retries for failed trials")
     p_run.add_argument("--unit", default="seconds", help="measurement unit (external backend)")
     p_run.add_argument("--timeout", type=float, default=None, help="per-trial timeout in seconds")

@@ -4,7 +4,9 @@ Logs are append-only JSON lines keyed by (configuration id, replicate);
 re-running a completed plan appends nothing, so interrupted runs resume
 for free, and a last record torn by the interruption is dropped on load.
 Synthetic measurements are seeded per trial, making logs independent of
-execution order and parallelism.
+execution order and parallelism. Threads overlap backends that wait
+outside the interpreter (external commands); synthetic trials run in the
+calling thread, where threads would only contend for the interpreter.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
@@ -58,6 +62,34 @@ class Measurement:
             "status": self.status,
             "reason": self.reason,
         }
+
+
+# One log record, ``json.dumps(m.to_dict(), sort_keys=True)`` plus its newline.
+_RECORD_JSON = (
+    '{"backend": %s, "config_id": %s, "reason": %s, "replicate": %s, '
+    '"status": %s, "value": %s, "wall_time": %s}\n'
+)
+
+
+def _json_scalar(x: Any) -> str:
+    """``json.dumps(x)``, with the types a record usually holds encoded directly."""
+    kind = type(x)
+    if kind is str:
+        return _json_str(x)
+    if kind is float and x - x == 0.0:  # finite; json.dumps spells the rest NaN/Infinity
+        return float.__repr__(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    return json.dumps(x)
+
+
+def _record_json(m: Measurement) -> str:
+    j = _json_scalar
+    return _RECORD_JSON % (
+        j(m.backend), j(m.config_id), j(m.reason), j(m.replicate), j(m.status), j(m.value), j(m.wall_time)
+    )
 
 
 @dataclass(frozen=True)
@@ -142,7 +174,7 @@ class RunLog:
                     status=rec["status"],
                     reason=rec.get("reason"),
                 )
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or number, or Measurement checks
                 if torn and i == len(lines):
                     print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
                     log._reopen = (complete, "")
@@ -166,7 +198,7 @@ class RunLog:
             self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write(prefix)
         if write and self._fh is not None:
-            self._fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
+            self._fh.write(_record_json(m))
 
     def append(self, m: Measurement) -> None:
         self._add(m, write=True)
@@ -225,6 +257,9 @@ def new_log(plan: DesignPlan, backend: "Backend", path: str | Path | None = None
 class Backend:
     name: str
     unit: str
+    # True when a measurement mostly waits outside the interpreter (a
+    # subprocess, I/O), so that ``run`` overlaps trials in threads.
+    waits: bool = True
 
     def measure(self, trial: Trial) -> Measurement:  # pragma: no cover - interface
         raise NotImplementedError
@@ -238,6 +273,7 @@ class SyntheticBackend(Backend):
     """
 
     name = "synthetic"
+    waits = False
 
     def __init__(self, model: SyntheticModel):
         self.model = model
@@ -336,6 +372,21 @@ class RunReport:
     failed: int
 
 
+def check_log(log: RunLog, plan: DesignPlan) -> None:
+    """Raise ``RunError`` unless the log's header names this plan and its space."""
+    expected = plan_digest(plan)
+    if log.header.plan_digest != expected:
+        raise RunError(
+            f"log/plan mismatch: log was created for plan {log.header.plan_digest[:12]}, "
+            f"got plan {expected[:12]}"
+        )
+    if log.header.space_digest != plan.space_digest:
+        raise RunError(
+            f"log/plan mismatch: log was created on space {log.header.space_digest[:12]}, "
+            f"the plan on space {plan.space_digest[:12]}"
+        )
+
+
 def run(
     plan: DesignPlan,
     backend: Backend,
@@ -345,15 +396,13 @@ def run(
 ) -> RunReport:
     """Execute every trial not already in the log; append in plan order.
 
-    ``retry`` re-attempts failed measurements within this invocation before
-    recording; failures already recorded in the log are never retried.
+    With ``parallelism`` > 1, up to that many trials of a waiting backend
+    (``Backend.waits``) run at once in threads; other backends measure in
+    the calling thread. ``retry`` re-attempts failed measurements within
+    this invocation before recording; failures already recorded in the
+    log are never retried.
     """
-    expected = plan_digest(plan)
-    if log.header.plan_digest != expected:
-        raise RunError(
-            f"log/plan mismatch: log was created for plan {log.header.plan_digest[:12]}, "
-            f"got plan {expected[:12]}"
-        )
+    check_log(log, plan)
     todo: list[Trial] = []
     seen: set[tuple[str, int]] = set()
     for trial in plan.trials:
@@ -373,15 +422,9 @@ def run(
         return m
 
     failed = 0
-    if parallelism > 1 and todo:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            for m in pool.map(attempt, todo):
-                if m.status == "failed":
-                    failed += 1
-                log.append(m)
-    else:
-        for trial in todo:
-            m = attempt(trial)
+    threaded = parallelism > 1 and backend.waits
+    with ThreadPoolExecutor(max_workers=parallelism) if threaded else nullcontext() as pool:
+        for m in (pool.map if threaded else map)(attempt, todo):
             if m.status == "failed":
                 failed += 1
             log.append(m)

@@ -425,6 +425,12 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
         raise StatsError(f"anova: at most {_ANOVA_MAX_FACTORS} factors supported, got {k}")
     index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
     shape = tuple(len(labs) for labs in labels) + (r,)
+    n_cells = math.prod(shape[:-1])
+    if len(plan.trials) < n_cells * r:
+        raise StatsError(
+            f"anova: the space's exclusions leave the grid incomplete; the plan has "
+            f"{len(plan.trials)} trials, {n_cells} level combinations x r {r} need {n_cells * r}"
+        )
     y = np.full(shape, np.nan)
     for trial in plan.trials:
         value = log.ok_value(trial.config.id, trial.replicate)
@@ -442,7 +448,6 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     cell_means = y.mean(axis=-1)
     total_ss = float(((y - grand) ** 2).sum())
     error_ss = float(((y - cell_means[..., None]) ** 2).sum())
-    n_cells = int(np.prod(shape[:-1]))
     error_df = n_cells * (r - 1)
 
     # Rounding floor: sums of squares at or below accumulated float noise

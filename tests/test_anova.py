@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from effattr import (
     SyntheticModel,
     anova,
     full_factorial,
+    load_model_file,
     load_space,
+    load_space_file,
     new_log,
     run,
 )
 from effattr.runner import Backend
 from conftest import space_doc
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TableBackend(Backend):
@@ -152,6 +157,17 @@ class TestStructure:
         log._records.pop(next(iter(log._records)))
         with pytest.raises(StatsError, match="unbalanced"):
             anova(log, plan)
+
+    def test_space_exclusions_named_for_an_incomplete_grid(self):
+        space = load_space_file(SCENARIOS / "cpu_space.json")
+        plan = full_factorial(space, r=2, seed=0)
+        backend = SyntheticBackend(load_model_file(SCENARIOS / "smt_model.json"))
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        assert log.failed_count() == 0 and len(log) == len(plan.trials)
+        with pytest.raises(StatsError, match="exclusions leave the grid incomplete") as err:
+            anova(log, plan)
+        assert "2808 trials, 1440 level combinations x r 2 need 2880" in str(err.value)
 
     def test_wrong_plan_method_rejected(self, small_space, plain_model):
         from effattr import paired_plan, simple_random_sample

@@ -211,6 +211,46 @@ class TestRunCommand:
         assert "space/plan mismatch" in err and planned in err and given in err
         assert not log_path.exists()
 
+    def test_synthetic_space_must_match_the_plan(self, ws, tmp_path, capsys):
+        plan_path, log_path = tmp_path / "plan.json", tmp_path / "log.jsonl"
+        code, _, _ = run_cli(
+            capsys, "plan", "full", "--space", SCENARIOS / "cpu_space.json",
+            "--plan-out", plan_path, "--r", "1", "--seed", "1",
+        )
+        assert code == 0
+        backend = f"synthetic:{ws['model']}"
+        code, _, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", backend, "--space", SCENARIOS / "cpu_space_complete.json",
+        )
+        planned = load_plan(plan_path).space_digest[:12]
+        given = load_space_file(SCENARIOS / "cpu_space_complete.json").space_digest[:12]
+        assert code == 1
+        assert f"error: space/plan mismatch: --space has digest {given}, the plan was built on space {planned}" in err
+        assert not log_path.exists()
+        code, out, _ = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", backend, "--space", SCENARIOS / "cpu_space.json",
+        )
+        assert code == 0 and out == "1404 new trials, 0 failed\n"
+
+    def test_analyze_rejects_a_log_of_another_plan(self, ws, capsys):
+        plans = {seed: ws["dir"] / f"full{seed}.json" for seed in (1, 2)}
+        for seed, plan_path in plans.items():
+            code, _, _ = run_cli(
+                capsys, "plan", "full", "--space", ws["space"], "--plan-out", plan_path,
+                "--r", "2", "--seed", seed,
+            )
+            assert code == 0
+        log_path = ws["dir"] / "full1.jsonl"
+        code, _, _ = run_cli(capsys, "run", "--plan", plans[1], "--log", log_path, "--backend", f"synthetic:{ws['model']}")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "analyze", "anova", "--log", log_path, "--plan", plans[1])
+        assert code == 0
+        code, out, err = run_cli(capsys, "analyze", "anova", "--log", log_path, "--plan", plans[2])
+        assert code == 1 and out == ""
+        assert "error: log/plan mismatch: log was created for plan" in err
+
     def test_failing_external_command_gives_partial_code(self, ws, capsys):
         plan_path = self.plan(ws, capsys)
         log_path = ws["dir"] / "fail.jsonl"

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from effattr import (
+    Backend,
     Configuration,
     ExternalBackend,
+    LogHeader,
     Measurement,
     RunError,
     RunLog,
@@ -23,10 +31,12 @@ from effattr import (
     load_space_file,
     new_log,
     paired_plan,
+    plan_digest,
     run,
     simple_random_sample,
 )
 from effattr.design import Trial
+from effattr.runner import _record_json
 from conftest import space_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -97,6 +107,12 @@ class TestRun:
         with pytest.raises(RunError, match="log/plan mismatch"):
             run(plan_b, backend, log)
 
+    def test_space_digest_mismatch_rejected(self, small_space, plain_model):
+        plan = full_factorial(small_space, r=1, seed=1)
+        log = RunLog(LogHeader(space_digest="0" * 64, plan_digest=plan_digest(plan), backend="synthetic", unit="s"))
+        with pytest.raises(RunError, match="log/plan mismatch: log was created on space 000000000000"):
+            run(plan, SyntheticBackend(plain_model), log)
+
     def test_resume_from_file(self, small_space, plain_model, tmp_path):
         dc = simple_random_sample(small_space, ("DC",), 3, seed=2)
         plan = paired_plan(small_space, "ht_off", "ht_on", dc, r=1, seed=2)
@@ -109,6 +125,100 @@ class TestRun:
         report = run(plan, backend, reloaded)
         reloaded.close()
         assert report.executed == 0
+
+
+class TestThreads:
+    def test_waiting_backend_measures_trials_concurrently(self, small_space):
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Waiting(Backend):
+            name = "waiting"
+            unit = "seconds"
+
+            def measure(self, trial):
+                barrier.wait()  # breaks unless two trials are being measured at once
+                time.sleep(0.001 * (trial.seed % 3))  # finish out of plan order
+                return Measurement(
+                    config_id=trial.config.id,
+                    replicate=trial.replicate,
+                    value=float(trial.seed % 97),
+                    backend=self.name,
+                    wall_time=0.0,
+                )
+
+        plan = full_factorial(small_space, r=1, seed=3)
+        assert len(plan.trials) % 2 == 0
+        backend = Waiting()
+        log = new_log(plan, backend)
+        report = run(plan, backend, log, parallelism=2)
+        assert report.executed == len(plan.trials) and report.failed == 0
+        assert [(m.config_id, m.replicate) for m in log.records] == [
+            (t.config.id, t.replicate) for t in plan.trials
+        ]
+
+    def test_synthetic_backend_measures_on_the_calling_thread(self, small_space, plain_model):
+        threads = set()
+
+        class Recording(SyntheticBackend):
+            def measure(self, trial):
+                threads.add(threading.get_ident())
+                return super().measure(trial)
+
+        plan = full_factorial(small_space, r=2, seed=3)
+        backend = Recording(plain_model)
+        log = new_log(plan, backend)
+        assert run(plan, backend, log, parallelism=4).executed == len(plan.trials)
+        assert threads == {threading.get_ident()}
+
+
+class TestRecordTemplate:
+    """Every log record is the canonical ``json.dumps`` of its measurement."""
+
+    REASONS = ['say "hi"', "back\\slash", "tab\there\x00\x1f\x7f", "two\nlines\r", "naïve – 日本 \U0001F600", ""]
+    MEASUREMENTS = [
+        *(
+            Measurement(config_id="c", replicate=rep, value=value, backend="synthetic", wall_time=wall)
+            for rep, value, wall in [
+                (0, 3, 0), (1, -0.0, 0.0), (2, 5e-324, 1.5e-7), (3, 1e308, 2.0), (2**70, -1e308, 0.1), (5, 12.0, 7),
+            ]
+        ),
+        *(
+            Measurement(config_id=f'id "{i}" é', replicate=i, value=None, backend="external",
+                        wall_time=0.25, status="failed", reason=reason)
+            for i, reason in enumerate(REASONS)
+        ),
+        Measurement(config_id="n", replicate=0, value=math.nan, backend="x", wall_time=-0.0, status="failed"),
+        Measurement(config_id="i", replicate=0, value=-math.inf, backend="x", wall_time=math.inf, status="failed"),
+    ]
+
+    def test_file_records_equal_canonical_json(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = RunLog(LogHeader(space_digest="s", plan_digest="p", backend="synthetic", unit="u"), path=path)
+        for m in self.MEASUREMENTS:
+            log.append(m)
+        log.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == [json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in self.MEASUREMENTS]
+        loaded = RunLog.load(path)
+        loaded.close()
+        assert len(loaded) == len(self.MEASUREMENTS)
+
+    @given(
+        config_id=st.text(),
+        replicate=st.integers(min_value=0, max_value=2**80),
+        value=st.one_of(st.none(), st.floats(), st.integers(-(2**70), 2**70)),
+        wall_time=st.one_of(st.floats(), st.integers(0, 10**6)),
+        reason=st.one_of(st.none(), st.text()),
+    )
+    def test_failed_records_equal_canonical_json(self, config_id, replicate, value, wall_time, reason):
+        m = Measurement(config_id=config_id, replicate=replicate, value=value, backend="external",
+                        wall_time=wall_time, status="failed", reason=reason)
+        assert _record_json(m) == json.dumps(m.to_dict(), sort_keys=True) + "\n"
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False), wall_time=st.floats(min_value=0.0))
+    def test_ok_records_equal_canonical_json(self, value, wall_time):
+        m = Measurement(config_id="c", replicate=1, value=value, backend="synthetic", wall_time=wall_time)
+        assert _record_json(m) == json.dumps(m.to_dict(), sort_keys=True) + "\n"
 
 
 class TestAggregate:
@@ -311,6 +421,31 @@ class TestRunLogFile:
         path.write_bytes(b"".join(lines))
         with pytest.raises(RunError, match="malformed record"):
             RunLog.load(path)
+
+    @pytest.mark.parametrize("field,bad", [("replicate", "one"), ("replicate", "1.5"), ("wall_time", "fast")])
+    def test_non_numeric_field_is_a_malformed_record(self, small_space, plain_model, tmp_path, field, bad):
+        path = tmp_path / "log.jsonl"
+        lines = self.finished_log(small_space, plain_model, path)[1].splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec[field] = bad
+        lines[2] = (json.dumps(rec) + "\n").encode()
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(RunError, match=re.escape(f"run log {path}:3: malformed record")):
+            RunLog.load(path)
+
+    def test_torn_last_record_with_a_non_numeric_field_dropped(self, small_space, plain_model, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        plan, data = self.finished_log(small_space, plain_model, path)
+        lines = data.splitlines(keepends=True)
+        rec = json.loads(lines[-1])
+        rec["wall_time"] = "zero"
+        path.write_bytes(b"".join(lines[:-1]) + json.dumps(rec).encode())
+        loaded = RunLog.load(path)
+        assert len(loaded) == len(plan.trials) - 1
+        assert "dropped a torn last record" in capsys.readouterr().err
+        run(plan, SyntheticBackend(plain_model), loaded)
+        loaded.close()
+        assert path.read_bytes() == data
 
     def test_malformed_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
