@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from typing import Any
 
 # Unit separator between ``derive_seed`` parts. Labels may contain it, but
@@ -15,6 +16,20 @@ _SEP = "\x1f"
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and no whitespace so digests are stable."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def json_scalar(x: Any) -> str:
+    """``json.dumps(x)``, with the types plans and logs usually hold encoded directly."""
+    kind = type(x)
+    if kind is str:
+        return _json_str(x)
+    if kind is float and x - x == 0.0:  # finite; json.dumps spells the rest NaN/Infinity
+        return float.__repr__(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    return json.dumps(x)
 
 
 def digest(obj: Any) -> str:

@@ -13,26 +13,16 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import design, meta, runner, stats
-from .model import ModelError, load_model_file
-from .space import ROLE_CUI, ROLE_DC, SpaceError, load_space_file
+from .model import load_model_file
+from .space import ROLE_CUI, ROLE_DC, load_space_file
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
-
-_DOMAIN_ERRORS = (
-    SpaceError,
-    design.PlanError,
-    runner.RunError,
-    stats.StatsError,
-    meta.ScenarioError,
-    ModelError,
-    ValueError,
-)
 
 
 def _fmt(x: float, raw: bool = False) -> str:
@@ -57,6 +47,16 @@ def _diag(message: str) -> None:
 # -- report rendering --------------------------------------------------------
 
 
+def _table(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) -> str:
+    """A CSV table, or a markdown one where ``fmt`` is "markdown"."""
+    if fmt == "markdown":
+        lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
+        lines += ["| " + " | ".join(r) + " |" for r in rows]
+    else:
+        lines = [",".join(header)] + [",".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _estimate_fields(est: stats.EffectEstimate, raw: bool) -> list[tuple[str, str]]:
     return [
         ("delta_e", _fmt(est.delta_e, raw)),
@@ -78,13 +78,9 @@ def _estimate_fields(est: stats.EffectEstimate, raw: bool) -> list[tuple[str, st
 def render_estimate(est: stats.EffectEstimate, fmt: str, raw: bool = False) -> str:
     fields = _estimate_fields(est, raw)
     if fmt == "csv":
-        head = ",".join(k for k, _ in fields)
-        row = ",".join(v for _, v in fields)
-        return f"{head}\n{row}\n"
+        return _table([k for k, _ in fields], [[v for _, v in fields]], fmt)
     if fmt == "markdown":
-        lines = ["| field | value |", "| --- | --- |"]
-        lines += [f"| {k} | {v} |" for k, v in fields]
-        return "\n".join(lines) + "\n"
+        return _table(["field", "value"], fields, fmt)
     summary = f"delta_e={_fmt(est.delta_e, raw)} verdict={est.verdict}"
     detail = "\n".join(f"{k}={v}" for k, v in fields[1:])
     return f"{summary}\n{detail}\n"
@@ -106,12 +102,7 @@ def render_anova(table: stats.AnovaTable, fmt: str, raw: bool = False) -> str:
     ]
     err = table.error_row
     rows.append(["errors", _fmt(err.ss, raw), str(err.df), _fmt(err.pct, raw), "", "", ""])
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        return "\n".join(lines) + "\n"
-    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
-    lines += ["| " + " | ".join(r) + " |" for r in rows]
-    return "\n".join(lines) + "\n"
+    return _table(header, rows, "csv" if fmt == "csv" else "markdown")
 
 
 def render_accuracy(rows: Sequence[meta.AccuracyRow], truth: float, fmt: str, raw: bool = False) -> str:
@@ -127,12 +118,7 @@ def render_accuracy(rows: Sequence[meta.AccuracyRow], truth: float, fmt: str, ra
         ]
         for r in rows
     ]
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
-        lines += ["| " + " | ".join(r) + " |" for r in data]
-        return "\n".join(lines) + "\n"
-    lines = [",".join(header)] + [",".join(r) for r in data]
-    return "\n".join(lines) + "\n"
+    return _table(header, data, fmt)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -249,7 +235,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fmt = args.format or "plain"
     if args.what == "anova":
         table = stats.anova(log, plan, alpha=args.alpha)
-        _emit(render_anova(table, "csv" if fmt == "csv" else "markdown", raw=args.raw), args.out)
+        _emit(render_anova(table, fmt, raw=args.raw), args.out)
         return EXIT_OK
     weights = None
     if args.weights:
@@ -314,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--plan-out", required=True, help="path for the plan document")
     p_plan.add_argument("--r", type=int, default=1, help="replicates per configuration")
     p_plan.add_argument("--n", type=int, default=None, help="sample size (rct, paired)")
-    p_plan.add_argument("--budget", type=int, default=design.DEFAULT_TRIAL_BUDGET)
+    p_plan.add_argument(
+        "--budget",
+        type=int,
+        default=design.DEFAULT_TRIAL_BUDGET,
+        help="most trials a full plan may have (plan full only; the other methods ignore it)",
+    )
     p_plan.add_argument("--split", default=None, help="2kr low/high blocks as JSON")
     p_plan.add_argument("--stratify", default=None, help="stratum factor name")
     p_plan.add_argument("--control", default=None, help="rct control CUI level")
@@ -367,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if code == 0 else EXIT_DOMAIN
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:  # the base of every domain error: SpaceError, PlanError, ...
         _diag(f"error: {exc}")
         return EXIT_DOMAIN
     except OSError as exc:

@@ -13,11 +13,10 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from ._util import derive_seed, digest
+from ._util import derive_seed, digest, json_scalar
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -106,10 +105,6 @@ _TRIAL_JSON = (
 )
 
 
-def _json_opt(text: str | None) -> str:
-    return "null" if text is None else _json_str(text)
-
-
 def plan_to_json(plan: DesignPlan) -> str:
     """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``.
 
@@ -125,11 +120,11 @@ def plan_to_json(plan: DesignPlan) -> str:
     for t in plan.trials:
         block = blocks.get(id(t.config))
         if block is None:
-            entries = [f"    {_json_str(k)}: {_json_str(v)}" for k, v in sorted(t.config.assignment.items())]
+            entries = [f"    {json_scalar(k)}: {json_scalar(v)}" for k, v in sorted(t.config.assignment.items())]
             block = blocks[id(t.config)] = "{\n" + ",\n".join(entries) + "\n   }" if entries else "{}"
         parts.append(
             _TRIAL_JSON
-            % (_json_opt(t.arm), block, _json_opt(t.group), _json_opt(t.pair_id), t.replicate, t.seed)
+            % (json_scalar(t.arm), block, json_scalar(t.group), json_scalar(t.pair_id), t.replicate, t.seed)
         )
     # The head ends in '"trials": []\n}': "trials" sorts after every other key.
     return head[: -len("[]\n}")] + "[\n" + ",\n".join(parts) + "\n ]\n}"
@@ -371,48 +366,30 @@ def _weighted_indices(weights: Sequence[float], n: int, rng: random.Random) -> l
     return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)[:n]
 
 
-def sample_indices(
-    space: ConfigSpace,
-    roles: Iterable[str],
-    n: int,
-    seed: int,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-) -> list[int]:
+def sample_indices(space: ConfigSpace, roles: Iterable[str], n: int, seed: int) -> list[int]:
     """Positions in ``space.pool(roles)`` of a simple random sample."""
     if n < 0:
         raise PlanError("sample size must be >= 0")
-    pool = space.pool(roles, budget)
+    pool = space.pool(roles)
     if n > len(pool.rows):
         raise PlanError(f"sample size {n} exceeds space size {len(pool.rows)}")
     rng = random.Random(derive_seed(seed, "srs"))
     return _weighted_indices(pool.weights, n, rng)
 
 
-def simple_random_sample(
-    space: ConfigSpace,
-    roles: Iterable[str],
-    n: int,
-    seed: int,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-) -> list[Configuration]:
+def simple_random_sample(space: ConfigSpace, roles: Iterable[str], n: int, seed: int) -> list[Configuration]:
     """n distinct valid configurations drawn without replacement.
 
     Level weights (normalized per factor) act as sequential draw weights;
     uniform weights make every size-n subset equiprobable.
     """
     roles = tuple(roles)
-    idx = sample_indices(space, roles, n, seed, budget)
-    pool = space.pool(roles, budget)
+    idx = sample_indices(space, roles, n, seed)
+    pool = space.pool(roles)
     return [pool.config(i) for i in idx]
 
 
-def stratified_indices(
-    space: ConfigSpace,
-    stratum_factor: str,
-    n: int,
-    seed: int,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-) -> list[int]:
+def stratified_indices(space: ConfigSpace, stratum_factor: str, n: int, seed: int) -> list[int]:
     """Positions in ``space.pool((ROLE_DC,))`` of a stratified sample."""
     factor = space.factor(stratum_factor)
     if not factor.stratum:
@@ -425,7 +402,7 @@ def stratified_indices(
     base, rem = divmod(n, len(labels))
     rng = random.Random(derive_seed(seed, "strata"))
     extra = set(rng.sample(range(len(labels)), rem))
-    strata = space.pool((ROLE_DC,), budget).strata(stratum_factor)
+    strata = space.pool((ROLE_DC,)).strata(stratum_factor)
     out: list[int] = []
     for i, lab in enumerate(labels):
         alloc = base + (1 if i in extra else 0)
@@ -439,34 +416,26 @@ def stratified_indices(
     return out
 
 
-def stratified_sample(
-    space: ConfigSpace,
-    stratum_factor: str,
-    n: int,
-    seed: int,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-) -> list[Configuration]:
+def stratified_sample(space: ConfigSpace, stratum_factor: str, n: int, seed: int) -> list[Configuration]:
     """DC-role sample with near-equal allocation across the stratum's levels.
 
     Allocations differ by at most one; remainder strata are chosen by a
     seeded draw. Within a stratum, draws are simple random without
     replacement.
     """
-    idx = stratified_indices(space, stratum_factor, n, seed, budget)
-    pool = space.pool((ROLE_DC,), budget)
+    idx = stratified_indices(space, stratum_factor, n, seed)
+    pool = space.pool((ROLE_DC,))
     return [pool.config(i) for i in idx]
 
 
 # -- randomized control/treatment -----------------------------------------
 
 
-def rct_indices(
-    space: ConfigSpace, n: int, seed: int, budget: int = DEFAULT_TRIAL_BUDGET
-) -> tuple[list[int], list[int]]:
+def rct_indices(space: ConfigSpace, n: int, seed: int) -> tuple[list[int], list[int]]:
     """Positions in ``space.pool((ROLE_DC,))`` of the control and treatment arms."""
     if n % 2 != 0:
         raise PlanError(f"rct sample size must be even, got {n}")
-    sample = sample_indices(space, (ROLE_DC,), n, seed=derive_seed(seed, "rct-sample"), budget=budget)
+    sample = sample_indices(space, (ROLE_DC,), n, seed=derive_seed(seed, "rct-sample"))
     rng = random.Random(derive_seed(seed, "rct-shuffle"))
     rng.shuffle(sample)
     half = n // 2
@@ -474,21 +443,15 @@ def rct_indices(
 
 
 def rct_plan(
-    space: ConfigSpace,
-    cui_control: str,
-    cui_treatment: str,
-    n: int,
-    r: int,
-    seed: int,
-    budget: int = DEFAULT_TRIAL_BUDGET,
+    space: ConfigSpace, cui_control: str, cui_treatment: str, n: int, r: int, seed: int
 ) -> DesignPlan:
     """Split n sampled DC configurations 1:1 into control and treatment arms."""
     require_replicates(r)
     cui = space.cui_factor
     for lab in (cui_control, cui_treatment):
         cui.level(lab)
-    control, treatment = rct_indices(space, n, seed, budget)
-    pool = space.pool((ROLE_DC,), budget)
+    control, treatment = rct_indices(space, n, seed)
+    pool = space.pool((ROLE_DC,))
     units = []
     for group, cui_label, arm in (
         (GROUP_CONTROL, cui_control, control),

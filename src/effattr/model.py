@@ -10,7 +10,7 @@ from __future__ import annotations
 import _random
 import json
 from dataclasses import dataclass, field
-from math import cos, log, sqrt, tau
+from math import cos, isfinite, log, sqrt, tau
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -136,53 +136,56 @@ class SyntheticModel:
             raise SpaceError("DC space carries no weight")
         return acc / total_w
 
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "baseline": self.baseline,
-            "noise_sd": self.noise_sd,
-            "unit": self.unit,
-            "main_effects": [
-                {"factor": f, "level": lab, "effect": e}
-                for (f, lab), e in self.main_effects.items()
-            ],
-            "interactions": [
-                {"terms": dict(terms), "effect": e} for terms, e in self.interactions
-            ],
-        }
-
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SyntheticModel":
         if not isinstance(doc, Mapping):
             raise ModelError("model document: top level must be an object")
         mains: dict[tuple[str, str], float] = {}
-        for i, rec in enumerate(doc.get("main_effects", [])):
+        for i, rec in enumerate(_array(doc, "main_effects")):
             try:
                 key = (rec["factor"], rec["level"])
-                effect = float(rec["effect"])
+                effect = rec["effect"]
             except (KeyError, TypeError) as exc:
                 raise ModelError(f"main_effects[{i}]: needs factor, level, effect") from exc
+            if not all(isinstance(name, str) for name in key):
+                raise ModelError(f"main_effects[{i}]: factor and level must be text, got {key!r}")
             if key in mains:
                 raise ModelError(f"main_effects[{i}]: duplicate entry for {key}")
-            mains[key] = effect
+            mains[key] = _finite(effect, f"main_effects[{i}].effect")
         interactions = []
-        for i, rec in enumerate(doc.get("interactions", [])):
+        for i, rec in enumerate(_array(doc, "interactions")):
             try:
                 terms = rec["terms"]
-                effect = float(rec["effect"])
+                effect = rec["effect"]
             except (KeyError, TypeError) as exc:
                 raise ModelError(f"interactions[{i}]: needs terms, effect") from exc
             if not isinstance(terms, Mapping) or not terms:
                 raise ModelError(f"interactions[{i}].terms: must be a nonempty object")
-            interactions.append((tuple(sorted(terms.items())), effect))
+            if not all(isinstance(name, str) for term in terms.items() for name in term):
+                raise ModelError(f"interactions[{i}].terms: factor and level must be text, got {terms!r}")
+            interactions.append((tuple(sorted(terms.items())), _finite(effect, f"interactions[{i}].effect")))
         return cls(
-            baseline=float(doc.get("baseline", 0.0)),
+            baseline=_finite(doc.get("baseline", 0.0), "baseline"),
             main_effects=mains,
             interactions=tuple(interactions),
-            noise_sd=float(doc.get("noise_sd", 0.0)),
+            noise_sd=_finite(doc.get("noise_sd", 0.0), "noise_sd"),
             unit=str(doc.get("unit", "units")),
         )
+
+
+def _finite(value: Any, key: str) -> float:
+    """``float(value)``; ``ModelError`` unless ``value`` is a finite int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+        raise ModelError(f"{key}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _array(doc: Mapping[str, Any], key: str) -> list[Any]:
+    """``doc[key]``, empty where absent; ``ModelError`` unless it is an array."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ModelError(f"{key}: must be an array, got {value!r}")
+    return value
 
 
 def load_model(document: str | Mapping[str, Any]) -> SyntheticModel:

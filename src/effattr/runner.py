@@ -22,10 +22,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
+from ._util import json_scalar
 from .design import DesignPlan, Trial, plan_digest
 from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
@@ -71,25 +71,44 @@ _RECORD_JSON = (
 )
 
 
-def _json_scalar(x: Any) -> str:
-    """``json.dumps(x)``, with the types a record usually holds encoded directly."""
-    kind = type(x)
-    if kind is str:
-        return _json_str(x)
-    if kind is float and x - x == 0.0:  # finite; json.dumps spells the rest NaN/Infinity
-        return float.__repr__(x)
-    if kind is int:
-        return int.__repr__(x)
-    if x is None:
-        return "null"
-    return json.dumps(x)
-
-
 def _record_json(m: Measurement) -> str:
-    j = _json_scalar
+    j = json_scalar
     return _RECORD_JSON % (
         j(m.backend), j(m.config_id), j(m.reason), j(m.replicate), j(m.status), j(m.value), j(m.wall_time)
     )
+
+
+# The JSON types each log field may hold. Types are compared exactly, so a
+# bool (an int subclass) is never taken for a number.
+_TEXT, _NUMBER, _NULL = (str,), (int, float), (type(None),)
+_HEADER_TYPES = {"space_digest": _TEXT, "plan_digest": _TEXT, "backend": _TEXT, "unit": _TEXT}
+_RECORD_TYPES = {
+    "config_id": _TEXT,
+    "replicate": (int,),
+    "value": _NUMBER + _NULL,
+    "backend": _TEXT,
+    "wall_time": _NUMBER,
+    "status": _TEXT,
+    "reason": _TEXT + _NULL,
+}
+
+
+_ABSENT = object()
+
+
+def _fields(doc: Any, types: Mapping[str, tuple[type, ...]]) -> dict[str, Any]:
+    """The fields named in ``types`` of a decoded log line; ``ValueError``
+    unless each is present with one of its types."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    fields = {}
+    for key, kinds in types.items():
+        value = fields[key] = doc.get(key, _ABSENT)
+        if type(value) not in kinds:
+            raise ValueError(
+                f"missing field {key!r}" if value is _ABSENT else f"field {key!r} has the wrong type: {value!r}"
+            )
+    return fields
 
 
 @dataclass(frozen=True)
@@ -131,8 +150,9 @@ class RunLog:
 
         A last record torn by an interrupted append (no newline, does not
         parse) is dropped with a warning on stderr, and cut off the file
-        before anything is appended; any other malformed record raises
-        ``RunError``. Reading alone never changes the file.
+        before anything is appended; any other malformed record, one with a
+        missing or mistyped field among them, raises ``RunError``. Reading
+        alone never changes the file.
         """
         path = Path(path)
         data = path.read_bytes()
@@ -148,33 +168,22 @@ class RunLog:
             head = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise RunError(f"run log {path}: bad header line: {exc}") from exc
-        if head.get("kind") != "runlog":
+        if type(head) is not dict or head.get("kind") != "runlog":
             raise RunError(f"run log {path}: first line is not a runlog header")
-        log = cls(
-            LogHeader(
-                space_digest=head["space_digest"],
-                plan_digest=head["plan_digest"],
-                backend=head["backend"],
-                unit=head["unit"],
-            ),
-            path=path,
-            _existing=True,
-        )
+        try:
+            header = LogHeader(**_fields(head, _HEADER_TYPES))
+        except ValueError as exc:
+            raise RunError(f"run log {path}: bad header line: {exc}") from exc
+        log = cls(header, path=path, _existing=True)
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                m = Measurement(
-                    config_id=rec["config_id"],
-                    replicate=int(rec["replicate"]),
-                    value=rec["value"],
-                    backend=rec["backend"],
-                    wall_time=float(rec["wall_time"]),
-                    status=rec["status"],
-                    reason=rec.get("reason"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or number, or Measurement checks
+                if type(rec) is dict:
+                    rec.setdefault("reason", None)  # the one optional field
+                m = Measurement(**_fields(rec, _RECORD_TYPES))
+            except ValueError as exc:  # bad JSON, a missing or mistyped field, or Measurement checks
                 if torn and i == len(lines):
                     print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
                     log._reopen = (complete, "")

@@ -10,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from effattr import load_plan, load_space_file
+from effattr import (
+    ModelError,
+    PlanError,
+    RunError,
+    ScenarioError,
+    SpaceError,
+    StatsError,
+    cli,
+    load_plan,
+    load_space_file,
+)
 from effattr.cli import main
 from conftest import colliding_doc, space_doc
 
@@ -289,6 +299,19 @@ class TestRunCommand:
         records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
         assert all(r["value"] == 4.5 for r in records)
 
+    @pytest.mark.parametrize(
+        "model,key",
+        [('{"main_effects": 3}', "main_effects"), ('{"baseline": NaN}', "baseline")],
+    )
+    def test_bad_model_exits_before_the_log_is_created(self, ws, capsys, model, key):
+        plan_path = self.plan(ws, capsys)
+        bad, log_path = ws["dir"] / "bad_model.json", ws["dir"] / "bad.jsonl"
+        bad.write_text(model)
+        code, out, err = run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{bad}")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {key}: must be ")
+        assert not log_path.exists()
+
 
 class TestAnalyzeCommand:
     def run_pipeline(self, ws, capsys, cui_a="ht_off"):
@@ -352,6 +375,27 @@ class TestAnalyzeCommand:
         assert len(lines) == 1 + 31 + 1
         assert lines[-1].startswith("errors,")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda head: head.pop("space_digest"), "missing field 'space_digest'"),
+            (lambda head: head.update(plan_digest=5), "field 'plan_digest' has the wrong type: 5"),
+        ],
+    )
+    def test_bad_log_header_exits_1(self, ws, capsys, tmp_path, edit, message):
+        space_path = tmp_path / "anova_space.json"
+        space_path.write_text(json.dumps(space_doc(dc_counts=(2,))))
+        plan_path, log_path = tmp_path / "ff.json", tmp_path / "ff.jsonl"
+        run_cli(capsys, "plan", "full", "--space", space_path, "--plan-out", plan_path, "--r", "2")
+        run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")
+        head, *records = log_path.read_text().splitlines(keepends=True)
+        head = json.loads(head)
+        edit(head)
+        log_path.write_text(json.dumps(head) + "\n" + "".join(records))
+        code, out, err = run_cli(capsys, "analyze", "anova", "--log", log_path, "--plan", plan_path)
+        assert code == 1 and out == ""
+        assert err == f"error: run log {log_path}: bad header line: {message}\n"
+
 
 class TestMetaCommand:
     def scenario_path(self, ws):
@@ -404,6 +448,36 @@ class TestMetaCommand:
         assert code == 0
         assert out == ""
         assert out_file.read_text().startswith("method,")
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [
+        (SpaceError, 1, "error"),
+        (PlanError, 1, "error"),
+        (RunError, 1, "error"),
+        (StatsError, 1, "error"),
+        (ScenarioError, 1, "error"),
+        (ModelError, 1, "error"),
+        (ValueError, 1, "error"),
+        (OSError, 2, "io error"),
+    ],
+)
+def test_exit_code_of_an_error_raised_by_a_subcommand(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_space", fail)
+    assert run_cli(capsys, "space", "size", "any.json") == (code, "", f"{prefix}: boom\n")
+
+
+def test_other_errors_are_not_mapped_to_exit_codes(monkeypatch):
+    def fail(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_space", fail)
+    with pytest.raises(KeyError):
+        main(["space", "size", "any.json"])
 
 
 def test_import_leaves_numpy_unloaded():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
-from effattr import Configuration, SyntheticModel, load_space
+from effattr import Configuration, ModelError, SyntheticModel, load_model, load_space
 from effattr.space import ROLE_DC
 
 
@@ -58,3 +62,46 @@ def test_completions_match_responses():
     assert on == tuple((c.extended({"cpu": "on"}).id, 1.0 + 2.0 * i) for i, c in enumerate(dcs))
     # Without noise no trial seed reads the ids, so none is hashed.
     assert SyntheticModel(1.0, effects).completions(space, pool, "on") == ((None, 1.0), (None, 3.0))
+
+
+MODEL = {
+    "baseline": 10,
+    "noise_sd": 0.5,
+    "main_effects": [{"factor": "cpu", "level": "off", "effect": 2}],
+    "interactions": [{"terms": {"cpu": "off", "w": "w1"}, "effect": -1.5}],
+}
+
+
+@pytest.mark.parametrize(
+    "change,key",
+    [
+        ({"baseline": math.nan}, "baseline"),
+        ({"baseline": math.inf}, "baseline"),
+        ({"baseline": True}, "baseline"),
+        ({"baseline": "10"}, "baseline"),
+        ({"noise_sd": "0.5"}, "noise_sd"),
+        ({"noise_sd": None}, "noise_sd"),
+        ({"noise_sd": -math.inf}, "noise_sd"),
+        ({"main_effects": 3}, "main_effects"),
+        ({"main_effects": {"factor": "cpu"}}, "main_effects"),
+        ({"interactions": "none"}, "interactions"),
+        ({"main_effects": [{"factor": "cpu", "level": "off", "effect": False}]}, "main_effects[0].effect"),
+        ({"main_effects": [{"factor": "cpu", "level": "off", "effect": "2"}]}, "main_effects[0].effect"),
+        ({"main_effects": [{"factor": "cpu", "level": "off", "effect": math.nan}]}, "main_effects[0].effect"),
+        ({"main_effects": [{"factor": 1, "level": "off", "effect": 2}]}, "main_effects[0]: factor and level"),
+        ({"main_effects": [{"factor": "cpu", "level": None, "effect": 2}]}, "main_effects[0]: factor and level"),
+        ({"interactions": [{"terms": {"cpu": 1}, "effect": 1.0}]}, "interactions[0].terms"),
+        ({"interactions": [{"terms": {"cpu": "off"}, "effect": math.inf}]}, "interactions[0].effect"),
+        ({"interactions": [{"terms": {"cpu": "off"}, "effect": None}]}, "interactions[0].effect"),
+    ],
+)
+def test_wrong_types_and_non_finite_numbers_rejected(change, key):
+    with pytest.raises(ModelError, match=f"^{re.escape(key)}"):
+        load_model({**MODEL, **change})
+
+
+def test_integers_load_as_floats():
+    model = load_model(MODEL)
+    assert model.baseline == 10.0 and type(model.baseline) is float
+    assert model.main_effects == {("cpu", "off"): 2.0}
+    assert model.interactions == (((("cpu", "off"), ("w", "w1")), -1.5),)

@@ -422,15 +422,23 @@ class TestRunLogFile:
         with pytest.raises(RunError, match="malformed record"):
             RunLog.load(path)
 
-    @pytest.mark.parametrize("field,bad", [("replicate", "one"), ("replicate", "1.5"), ("wall_time", "fast")])
-    def test_non_numeric_field_is_a_malformed_record(self, small_space, plain_model, tmp_path, field, bad):
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("replicate", "one"), ("replicate", "1.5"), ("replicate", 1.7), ("replicate", True), ("replicate", None),
+            ("wall_time", "fast"), ("wall_time", False), ("wall_time", None),
+            ("value", True), ("value", "1.5"), ("value", [1.5]),
+            ("config_id", 5), ("backend", None), ("status", 1), ("reason", 3),
+        ],
+    )
+    def test_mistyped_field_is_a_malformed_record(self, small_space, plain_model, tmp_path, field, bad):
         path = tmp_path / "log.jsonl"
         lines = self.finished_log(small_space, plain_model, path)[1].splitlines(keepends=True)
         rec = json.loads(lines[2])
         rec[field] = bad
         lines[2] = (json.dumps(rec) + "\n").encode()
         path.write_bytes(b"".join(lines))
-        with pytest.raises(RunError, match=re.escape(f"run log {path}:3: malformed record")):
+        with pytest.raises(RunError, match=re.escape(f"run log {path}:3: malformed record: field {field!r}")):
             RunLog.load(path)
 
     def test_torn_last_record_with_a_non_numeric_field_dropped(self, small_space, plain_model, tmp_path, capsys):
@@ -452,3 +460,52 @@ class TestRunLogFile:
         bad.write_text("not json\n")
         with pytest.raises(RunError, match="bad header"):
             RunLog.load(bad)
+
+
+class TestRunLogTypes:
+    HEADER = {"kind": "runlog", "space_digest": "s", "plan_digest": "p", "backend": "synthetic", "unit": "seconds"}
+    RECORD = {
+        "config_id": "c0", "replicate": 0, "value": 1.5, "backend": "synthetic",
+        "wall_time": 0.0, "status": "ok", "reason": None,
+    }
+
+    def write(self, path, head, *records):
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in (head, *records)))
+        return path
+
+    def test_record_that_once_loaded_as_a_coerced_triple_rejected(self, tmp_path):
+        # It loaded as (5, 1, True): replicate truncated, a bool as the value.
+        bad = {**self.RECORD, "config_id": 5, "replicate": 1.7, "value": True}
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, self.RECORD, bad)
+        with pytest.raises(RunError, match=re.escape(f"run log {path}:3: malformed record")):
+            RunLog.load(path)
+
+    @pytest.mark.parametrize("field", sorted(RECORD.keys() - {"reason"}))
+    def test_missing_field_is_a_malformed_record(self, tmp_path, field):
+        rec = {k: v for k, v in self.RECORD.items() if k != field}
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, rec)
+        with pytest.raises(RunError, match=re.escape(f"run log {path}:2: malformed record: missing field {field!r}")):
+            RunLog.load(path)
+
+    def test_integers_are_numbers_and_reason_may_be_absent(self, tmp_path):
+        rec = {k: v for k, v in self.RECORD.items() if k != "reason"}
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, {**rec, "value": 2, "wall_time": 1})
+        loaded = RunLog.load(path)
+        loaded.close()
+        assert loaded.records == [Measurement("c0", 0, 2, "synthetic", 1)]
+
+    @pytest.mark.parametrize("field", ["space_digest", "plan_digest", "backend", "unit"])
+    @pytest.mark.parametrize("bad", [5, None, True, "absent"])
+    def test_mistyped_or_missing_header_field_rejected(self, tmp_path, field, bad):
+        head = {**self.HEADER, field: bad}
+        if bad == "absent":
+            del head[field]
+        path = self.write(tmp_path / "log.jsonl", head)
+        with pytest.raises(RunError, match=re.escape(f"run log {path}: bad header line: ") + ".*" + field):
+            RunLog.load(path)
+
+    @pytest.mark.parametrize("head", [["runlog"], "runlog", {"kind": "plan"}])
+    def test_header_that_is_not_a_runlog_object_rejected(self, tmp_path, head):
+        path = self.write(tmp_path / "log.jsonl", head)
+        with pytest.raises(RunError, match="first line is not a runlog header"):
+            RunLog.load(path)
