@@ -1,11 +1,13 @@
-"""Canonical serialization, digests, and seed derivation shared across modules."""
+"""Canonical serialization, digests, seed derivation and the document
+field reader shared across modules."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
-from typing import Any
+from typing import Any, Callable, Mapping
 
 # Unit separator between ``derive_seed`` parts. Labels may contain it, but
 # each call site passes a fixed number of parts of which at most one is free
@@ -50,3 +52,84 @@ def derive_seed(*parts: object) -> int:
     """Deterministic 64-bit seed from an arbitrary tuple of parts."""
     raw = hashlib.sha256(_SEP.join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(raw[:8], "big")
+
+
+# -- document fields -----------------------------------------------------------
+#
+# One rule for every input document and the CLI's JSON options: a field
+# holds exactly its JSON type, compared by ``type`` so that a bool is never
+# a number, and a number is finite.
+
+_JSON_KINDS = {  # name: (Python types, name in messages)
+    "text": ((str,), "text"), "integer": ((int,), "an integer"), "number": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"), "null": ((type(None),), "null"),
+    "array": ((list,), "an array"), "object": ((dict,), "an object"),
+}
+_MAX = sys.float_info.max
+_REQUIRED, _ABSENT = object(), object()
+
+
+class Kind:
+    """What a field may hold: JSON kinds joined by ``|`` ("text|null"), a
+    default where it may be absent, the kind of ``each`` element or value of
+    an array or object, and ``finite=False`` where a number may be NaN or
+    infinite."""
+
+    __slots__ = ("types", "name", "finite", "default", "each")
+
+    def __init__(self, kinds: str, default: Any = _REQUIRED, each: "Kind | None" = None, finite: bool = True):
+        names = kinds.split("|")
+        self.types = tuple(t for n in names for t in _JSON_KINDS[n][0])
+        self.name = " or ".join(_JSON_KINDS[n][1] for n in names)
+        self.finite, self.default, self.each = finite and "number" in names, default, each
+
+
+def parse_json(document: Any, error: Callable[[str], Exception], what: str) -> Any:
+    """``document`` parsed where it is JSON text, else as it is; ``error``
+    names ``what`` where the text does not parse."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _path(parts: tuple[Any, ...]) -> str:
+    """``("factors", 1, "name")`` as ``factors[1].name``."""
+    text = ""
+    for part in parts:
+        text += f"[{part}]" if type(part) is int else f".{part}" if text else str(part)
+    return text or "top level"
+
+
+def read(
+    doc: Any, table: Mapping[Any, Kind], error: Callable[[str], Exception], path: tuple[Any, ...] = ()
+) -> list[Any]:
+    """The fields of object ``doc`` (at ``path``) named in ``table``, in table order.
+
+    The one place that decides a document field's type. A field that breaks
+    the rule raises ``error("<path>: must be <kind>, got <value!r>")``; an
+    absent one takes its default or, if required, is a ``missing field``.
+    Other keys are ignored. Elements of a field with an ``each`` kind are
+    read as the fields of an object keyed by position or key.
+    """
+    if type(doc) is not dict:
+        raise error(f"{_path(path)}: must be an object, got {doc!r}")
+    values = []
+    for key, kind in table.items():
+        value = doc.get(key, _ABSENT)
+        t = type(value)
+        if t not in kind.types:
+            if value is not _ABSENT:
+                raise error(f"{_path((*path, key))}: must be {kind.name}, got {value!r}")
+            if kind.default is _REQUIRED:
+                raise error(f"{_path(path)}: missing field {key!r}" if path else f"missing field {key!r}")
+            value = kind.default
+        elif kind.finite and (t is float or t is int) and not -_MAX <= value <= _MAX:
+            raise error(f"{_path((*path, key))}: must be finite, got {value!r}")
+        elif kind.each is not None:
+            items = value if t is dict else dict(enumerate(value))
+            read(items, dict.fromkeys(items, kind.each), error, (*path, key))
+        values.append(value)
+    return values

@@ -9,13 +9,13 @@ run (failed trials remain). Machine-readable data goes to stdout (or
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import design, meta, runner, stats
+from ._util import Kind, parse_json, read
 from .model import load_model_file
 from .space import ROLE_CUI, ROLE_DC, load_space_file
 
@@ -142,16 +142,6 @@ def cmd_space(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_split(text: str) -> dict[str, Any]:
-    try:
-        split = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise design.PlanError(f"--split is not valid JSON: {exc}") from exc
-    if not isinstance(split, dict):
-        raise design.PlanError("--split must be a JSON object")
-    return split
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     space = load_space_file(args.space)
     if args.method == "full":
@@ -159,9 +149,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     elif args.method == "2kr":
         if not args.split:
             raise design.PlanError("2kr planning requires --split")
-        plan = design.factorial_2kr(
-            space, _parse_split(args.split), r=args.r, seed=args.seed, stratify=args.stratify
-        )
+        split = parse_json(args.split, design.PlanError, "--split")
+        plan = design.factorial_2kr(space, split, r=args.r, seed=args.seed, stratify=args.stratify)
     elif args.method == "rct":
         if args.n is None or not args.control or not args.treatment:
             raise design.PlanError("rct planning requires --n, --control and --treatment")
@@ -227,6 +216,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_WEIGHTS = {"--weights": Kind("array", each=Kind("number"))}
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     plan = design.load_plan(args.plan)
     log = runner.RunLog.load(args.log)
@@ -239,7 +231,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
     weights = None
     if args.weights:
-        weights = json.loads(Path(args.weights).read_text(encoding="utf-8"))
+        doc = parse_json(Path(args.weights).read_text(encoding="utf-8"), stats.StatsError, "--weights")
+        weights = read({"--weights": doc}, _WEIGHTS, stats.StatsError)[0]
     if args.what == "ttest":
         sample = stats.paired_diffs(log, plan, aggregate=args.aggregate)
         est = stats.one_sample_ttest(sample, mu0=args.mu0, alpha=args.alpha)

@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from ._util import derive_seed, digest, json_scalar
+from ._util import Kind, derive_seed, digest, json_scalar, parse_json, read
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -66,7 +66,7 @@ class DesignPlan:
     @property
     def cost(self) -> int:
         """The methodology's cost metric: configuration count as reported."""
-        return int(self.metadata.get("cost", self.n_configs))
+        return self.metadata.get("cost", self.n_configs)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -130,39 +130,53 @@ def plan_to_json(plan: DesignPlan) -> str:
     return head[: -len("[]\n}")] + "[\n" + ",\n".join(parts) + "\n ]\n}"
 
 
+# The kinds of a plan's fields and of each trial's, in the order of
+# ``DesignPlan``'s and ``Trial``'s fields.
+_PLAN = {
+    "method": Kind("text"), "trials": Kind("array"), "r": Kind("integer"), "master_seed": Kind("integer"),
+    "space_digest": Kind("text"), "metadata": Kind("object", {}),
+}
+_TRIAL = {
+    "assignment": Kind("object"), "replicate": Kind("integer"), "group": Kind("text"),
+    "pair_id": Kind("text|null", None), "arm": Kind("text|null", None), "seed": Kind("integer"),
+}
+_ASSIGNMENT = {"assignment": Kind("object", each=Kind("text"))}
+# The metadata entries that analyses read; the rest is carried as written.
+_METADATA = {
+    "factors": Kind("array", ()), "cost": Kind("integer", None),
+    "cui_a": Kind("text", None), "cui_ref": Kind("text", None),
+}
+_METADATA_FACTOR = {"name": Kind("text"), "labels": Kind("array", each=Kind("text"))}
+
+
+def _malformed(message: str) -> PlanError:
+    return PlanError(f"malformed plan document: {message}")
+
+
 def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
-    try:
-        # One Configuration, and one id, per distinct assignment.
-        configs: dict[tuple[tuple[str, str], ...], Configuration] = {}
-        trials = []
-        for t in doc["trials"]:
-            key = tuple(t["assignment"].items())
+    method, raw_trials, r, master_seed, space_digest, metadata = read(doc, _PLAN, _malformed)
+    factors, *_ = read(metadata, _METADATA, _malformed, ("metadata",))
+    for i, f in enumerate(factors):
+        read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
+    # One Configuration, and one id, per distinct assignment.
+    configs: dict[tuple[tuple[str, str], ...], Configuration] = {}
+    trials = []
+    for i, t in enumerate(raw_trials):
+        assignment, replicate, group, pair_id, arm, seed = read(t, _TRIAL, _malformed, ("trials", i))
+        key = tuple(assignment.items())
+        try:
             config = configs.get(key)
-            if config is None:
-                if not all(isinstance(text, str) for item in key for text in item):
-                    raise PlanError(f"malformed plan document: assignment {t['assignment']!r} is not text")
-                config = configs[key] = Configuration(t["assignment"])
-            tags = {"group": t["group"], "pair_id": t.get("pair_id"), "arm": t.get("arm")}
-            if not all(isinstance(v, str) or v is None and k != "group" for k, v in tags.items()):
-                raise PlanError(f"malformed plan document: trial tags {tags!r} are not text")
-            trials.append(Trial(config=config, replicate=int(t["replicate"]), seed=int(t["seed"]), **tags))
-        return DesignPlan(
-            method=doc["method"],
-            trials=tuple(trials),
-            r=int(doc["r"]),
-            master_seed=int(doc["master_seed"]),
-            space_digest=doc["space_digest"],
-            metadata=dict(doc.get("metadata", {})),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise PlanError(f"malformed plan document: {exc}") from exc
+        except TypeError:  # an unhashable label, which the read below names
+            config = None
+        if config is None:
+            read({"assignment": assignment}, _ASSIGNMENT, _malformed, ("trials", i))
+            config = configs[key] = Configuration(assignment)
+        trials.append(Trial(config, replicate, group, pair_id, arm, seed))
+    return DesignPlan(method, tuple(trials), r, master_seed, space_digest, dict(metadata))
 
 
 def plan_from_json(text: str) -> DesignPlan:
-    try:
-        return plan_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"plan document is not valid JSON: {exc}") from exc
+    return plan_from_dict(parse_json(text, PlanError, "plan document"))
 
 
 def save_plan(plan: DesignPlan, path: str | Path) -> None:
@@ -233,19 +247,19 @@ def full_factorial(
 # -- 2^k r factorial ------------------------------------------------------
 
 
+_SPLIT = {"split": Kind("object")}
+_BLOCKS = {"low": Kind("array", each=Kind("text")), "high": Kind("array", each=Kind("text"))}
+
+
 def validate_split(space: ConfigSpace, split: Mapping[str, Any], stratify: str | None) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """``split``, an object of factor name -> {"low": [labels], "high": [labels]},
+    as (low, high) label tuples per factor, once every rule holds."""
     normalized: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    for fname, blocks in split.items():
+    for fname, blocks in read({"split": split}, _SPLIT, PlanError)[0].items():
         factor = space.factor(fname)
         if fname == stratify:
             raise PlanError(f"factor {fname!r} cannot be both split and stratified")
-        if isinstance(blocks, Mapping):
-            low, high = blocks.get("low"), blocks.get("high")
-        else:
-            low, high = blocks
-        if low is None or high is None:
-            raise PlanError(f"split for {fname!r}: needs 'low' and 'high' blocks")
-        low_t, high_t = tuple(low), tuple(high)
+        low_t, high_t = map(tuple, read(blocks, _BLOCKS, PlanError, ("split", fname)))
         labels = set(factor.labels())
         if not low_t or not high_t:
             raise PlanError(f"split for {fname!r}: both blocks must be nonempty")

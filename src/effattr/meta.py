@@ -11,13 +11,12 @@ estimates the plan -> run -> analyze pipeline would.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ._util import derive_seed
+from ._util import Kind, derive_seed, parse_json, read
 from .design import (
     DesignPlan,
     PlanError,
@@ -204,60 +203,32 @@ class VariabilityReport:
 # -- scenario loading --------------------------------------------------------
 
 
-def _number(doc: Mapping[str, Any], key: str, default: Any, kind: type, where: str = "") -> Any:
-    """``kind(doc[key])``, or ``default`` where the key is absent."""
-    value = doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"{where}{key}: must be {expected}, got {value!r}") from exc
+# The kinds of a scenario's fields and of each method row's, in the order of
+# ``Scenario``'s and ``MethodSpec``'s fields.
+_SCENARIO = {
+    "space": Kind("object"), "model": Kind("object"), "cui_a": Kind("text"), "cui_ref": Kind("text"),
+    "alpha": Kind("number", 0.01), "iterations": Kind("integer", 10_000), "master_seed": Kind("integer", 0),
+    "methods": Kind("array", ()), "direction": Kind("text", "min"), "aggregate": Kind("text", "median"),
+}
+_METHOD = {
+    "kind": Kind("text"), "n": Kind("integer", 0), "r": Kind("integer", 1),
+    "stratify": Kind("text|null", None), "split": Kind("object|null", None), "label": Kind("text|null", None),
+}
 
 
 def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario document is not valid JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
-        raise ScenarioError("scenario document: top level must be an object")
+    document = parse_json(document, ScenarioError, "scenario document")
+    space, model, cui_a, cui_ref, alpha, iterations, master_seed, methods, direction, aggregate = read(
+        document, _SCENARIO, ScenarioError
+    )
     try:
-        space = load_space(document["space"])
-        model = load_model(document["model"])
-    except KeyError as exc:
-        raise ScenarioError(f"scenario document: missing key {exc}") from exc
+        space, model = load_space(space), load_model(model)
     except (SpaceError, ModelError) as exc:
         raise ScenarioError(str(exc)) from exc
-    methods = []
-    for i, rec in enumerate(document.get("methods", [])):
-        if not isinstance(rec, Mapping) or "kind" not in rec:
-            raise ScenarioError(f"methods[{i}]: must be an object with a 'kind'")
-        methods.append(
-            MethodSpec(
-                kind=rec["kind"],
-                n=_number(rec, "n", 0, int, f"methods[{i}]."),
-                r=_number(rec, "r", 1, int, f"methods[{i}]."),
-                stratify=rec.get("stratify"),
-                split=rec.get("split"),
-                label=rec.get("label"),
-            )
-        )
-    try:
-        return Scenario(
-            space=space,
-            model=model,
-            cui_a=document["cui_a"],
-            cui_ref=document["cui_ref"],
-            alpha=_number(document, "alpha", 0.01, float),
-            iterations=_number(document, "iterations", 10_000, int),
-            master_seed=_number(document, "master_seed", 0, int),
-            methods=tuple(methods),
-            direction=document.get("direction", "min"),
-            aggregate=document.get("aggregate", "median"),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario document: missing key {exc}") from exc
+    methods = tuple(MethodSpec(*read(m, _METHOD, ScenarioError, ("methods", i))) for i, m in enumerate(methods))
+    return Scenario(
+        space, model, cui_a, cui_ref, float(alpha), iterations, master_seed, methods, direction, aggregate
+    )
 
 
 def load_scenario_file(path: str | Path) -> Scenario:

@@ -8,13 +8,12 @@ declared DC level weights is available in closed form.
 from __future__ import annotations
 
 import _random
-import json
 from dataclasses import dataclass, field
-from math import cos, isfinite, log, sqrt, tau
+from math import cos, log, sqrt, tau
 from pathlib import Path
 from typing import Any, Mapping
 
-from ._util import assignment_id
+from ._util import Kind, assignment_id, parse_json, read
 from .space import ConfigPool, ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 
@@ -138,63 +137,38 @@ class SyntheticModel:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SyntheticModel":
-        if not isinstance(doc, Mapping):
-            raise ModelError("model document: top level must be an object")
+        baseline, noise_sd, unit, raw_mains, raw_interactions = read(doc, _MODEL, ModelError)
         mains: dict[tuple[str, str], float] = {}
-        for i, rec in enumerate(_array(doc, "main_effects")):
-            try:
-                key = (rec["factor"], rec["level"])
-                effect = rec["effect"]
-            except (KeyError, TypeError) as exc:
-                raise ModelError(f"main_effects[{i}]: needs factor, level, effect") from exc
-            if not all(isinstance(name, str) for name in key):
-                raise ModelError(f"main_effects[{i}]: factor and level must be text, got {key!r}")
-            if key in mains:
-                raise ModelError(f"main_effects[{i}]: duplicate entry for {key}")
-            mains[key] = _finite(effect, f"main_effects[{i}].effect")
+        for i, rec in enumerate(raw_mains):
+            factor, level, effect = read(rec, _MAIN_EFFECT, ModelError, ("main_effects", i))
+            if (factor, level) in mains:
+                raise ModelError(f"main_effects[{i}]: duplicate entry for {(factor, level)}")
+            mains[factor, level] = float(effect)
         interactions = []
-        for i, rec in enumerate(_array(doc, "interactions")):
-            try:
-                terms = rec["terms"]
-                effect = rec["effect"]
-            except (KeyError, TypeError) as exc:
-                raise ModelError(f"interactions[{i}]: needs terms, effect") from exc
-            if not isinstance(terms, Mapping) or not terms:
+        for i, rec in enumerate(raw_interactions):
+            terms, effect = read(rec, _INTERACTION, ModelError, ("interactions", i))
+            if not terms:
                 raise ModelError(f"interactions[{i}].terms: must be a nonempty object")
-            if not all(isinstance(name, str) for term in terms.items() for name in term):
-                raise ModelError(f"interactions[{i}].terms: factor and level must be text, got {terms!r}")
-            interactions.append((tuple(sorted(terms.items())), _finite(effect, f"interactions[{i}].effect")))
+            interactions.append((tuple(sorted(terms.items())), float(effect)))
         return cls(
-            baseline=_finite(doc.get("baseline", 0.0), "baseline"),
+            baseline=float(baseline),
             main_effects=mains,
             interactions=tuple(interactions),
-            noise_sd=_finite(doc.get("noise_sd", 0.0), "noise_sd"),
-            unit=str(doc.get("unit", "units")),
+            noise_sd=float(noise_sd),
+            unit=unit,
         )
 
 
-def _finite(value: Any, key: str) -> float:
-    """``float(value)``; ``ModelError`` unless ``value`` is a finite int or float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
-        raise ModelError(f"{key}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _array(doc: Mapping[str, Any], key: str) -> list[Any]:
-    """``doc[key]``, empty where absent; ``ModelError`` unless it is an array."""
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ModelError(f"{key}: must be an array, got {value!r}")
-    return value
+_MODEL = {
+    "baseline": Kind("number", 0.0), "noise_sd": Kind("number", 0.0), "unit": Kind("text", "units"),
+    "main_effects": Kind("array", ()), "interactions": Kind("array", ()),
+}
+_MAIN_EFFECT = {"factor": Kind("text"), "level": Kind("text"), "effect": Kind("number")}
+_INTERACTION = {"terms": Kind("object", each=Kind("text")), "effect": Kind("number")}
 
 
 def load_model(document: str | Mapping[str, Any]) -> SyntheticModel:
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"model document is not valid JSON: {exc}") from exc
-    return SyntheticModel.from_dict(document)
+    return SyntheticModel.from_dict(parse_json(document, ModelError, "model document"))
 
 
 def load_model_file(path: str | Path) -> SyntheticModel:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
-from ._util import json_scalar
+from ._util import Kind, json_scalar, read
 from .design import DesignPlan, Trial, plan_digest
 from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
@@ -78,37 +78,18 @@ def _record_json(m: Measurement) -> str:
     )
 
 
-# The JSON types each log field may hold. Types are compared exactly, so a
-# bool (an int subclass) is never taken for a number.
-_TEXT, _NUMBER, _NULL = (str,), (int, float), (type(None),)
-_HEADER_TYPES = {"space_digest": _TEXT, "plan_digest": _TEXT, "backend": _TEXT, "unit": _TEXT}
-_RECORD_TYPES = {
-    "config_id": _TEXT,
-    "replicate": (int,),
-    "value": _NUMBER + _NULL,
-    "backend": _TEXT,
-    "wall_time": _NUMBER,
-    "status": _TEXT,
-    "reason": _TEXT + _NULL,
+# The kinds of the header's and each record's fields, in the order of
+# ``LogHeader``'s and ``Measurement``'s fields. A failed record may carry a
+# non-finite value or time, and a resumed run reads back every record the
+# writer wrote, so those two are the only numbers that need not be finite.
+_HEADER = {
+    "space_digest": Kind("text"), "plan_digest": Kind("text"), "backend": Kind("text"), "unit": Kind("text"),
 }
-
-
-_ABSENT = object()
-
-
-def _fields(doc: Any, types: Mapping[str, tuple[type, ...]]) -> dict[str, Any]:
-    """The fields named in ``types`` of a decoded log line; ``ValueError``
-    unless each is present with one of its types."""
-    if type(doc) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    fields = {}
-    for key, kinds in types.items():
-        value = fields[key] = doc.get(key, _ABSENT)
-        if type(value) not in kinds:
-            raise ValueError(
-                f"missing field {key!r}" if value is _ABSENT else f"field {key!r} has the wrong type: {value!r}"
-            )
-    return fields
+_RECORD = {
+    "config_id": Kind("text"), "replicate": Kind("integer"), "value": Kind("number|null", finite=False),
+    "backend": Kind("text"), "wall_time": Kind("number", finite=False), "status": Kind("text"),
+    "reason": Kind("text|null", None),
+}
 
 
 @dataclass(frozen=True)
@@ -170,19 +151,15 @@ class RunLog:
             raise RunError(f"run log {path}: bad header line: {exc}") from exc
         if type(head) is not dict or head.get("kind") != "runlog":
             raise RunError(f"run log {path}: first line is not a runlog header")
-        try:
-            header = LogHeader(**_fields(head, _HEADER_TYPES))
-        except ValueError as exc:
-            raise RunError(f"run log {path}: bad header line: {exc}") from exc
+        header = LogHeader(
+            *read(head, _HEADER, lambda message: RunError(f"run log {path}: bad header line: {message}"))
+        )
         log = cls(header, path=path, _existing=True)
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                if type(rec) is dict:
-                    rec.setdefault("reason", None)  # the one optional field
-                m = Measurement(**_fields(rec, _RECORD_TYPES))
+                m = Measurement(*read(json.loads(line), _RECORD, ValueError))
             except ValueError as exc:  # bad JSON, a missing or mistyped field, or Measurement checks
                 if torn and i == len(lines):
                     print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)

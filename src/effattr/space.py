@@ -7,15 +7,13 @@ a configuration is invalid if it extends any of them.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ._util import assignment_id, digest
+from ._util import Kind, assignment_id, digest, parse_json, read
 
 ROLE_CUI = "CUI"
 ROLE_DC = "DC"
@@ -61,6 +59,8 @@ class Factor:
     stratum: bool = False
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise SpaceError("factor name must be nonempty")
         # Configuration ids hash "name=label" lines (``assignment_id``); with
         # no '=' or newline in names and no newline in labels (``Level``),
         # that text, and so the id, has one reading.
@@ -397,76 +397,33 @@ class ConfigSpace:
 # -- loading -------------------------------------------------------------
 
 
+_SPACE = {"factors": Kind("array"), "exclusions": Kind("array", (), each=Kind("object", each=Kind("text")))}
+_FACTOR = {"name": Kind("text"), "role": Kind("text"), "levels": Kind("array"), "stratum": Kind("bool", False)}
+_LEVEL = {"label": Kind("text"), "value": Kind("text", None), "weight": Kind("number", 1.0)}
+
+
 def load_space(document: str | Mapping[str, Any]) -> ConfigSpace:
     """Parse and validate a space document (JSON text or an already-parsed dict)."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SpaceError(f"space document is not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, Mapping):
-        raise SpaceError("space document: top level must be an object")
-    unknown = set(doc) - {"factors", "exclusions"}
+    document = parse_json(document, SpaceError, "space document")
+    raw_factors, exclusions = read(document, _SPACE, SpaceError)
+    unknown = set(document) - set(_SPACE)
     if unknown:
         raise SpaceError(f"space document: unknown keys {sorted(unknown)}")
-    raw_factors = doc.get("factors")
-    if not isinstance(raw_factors, Sequence) or not raw_factors:
-        raise SpaceError("factors: must be a nonempty array")
     factors = []
     for i, rf in enumerate(raw_factors):
-        path = f"factors[{i}]"
-        if not isinstance(rf, Mapping):
-            raise SpaceError(f"{path}: must be an object")
-        name = rf.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpaceError(f"{path}.name: must be a nonempty string")
-        role = rf.get("role")
-        if role not in ALL_ROLES:
-            raise SpaceError(f"{path}.role: must be 'CUI' or 'DC', got {role!r}")
-        raw_levels = rf.get("levels")
-        if not isinstance(raw_levels, Sequence) or not raw_levels:
-            raise SpaceError(f"{path}.levels: must be a nonempty array")
+        name, role, raw_levels, stratum = read(rf, _FACTOR, SpaceError, ("factors", i))
         levels = []
         for j, rl in enumerate(raw_levels):
-            lpath = f"{path}.levels[{j}]"
-            if not isinstance(rl, Mapping):
-                raise SpaceError(f"{lpath}: must be an object")
-            label = rl.get("label")
-            if not isinstance(label, str) or not label:
-                raise SpaceError(f"{lpath}.label: must be a nonempty string")
-            value = rl.get("value", label)
-            if not isinstance(value, str):
-                raise SpaceError(f"{lpath}.value: must be a string")
-            weight = rl.get("weight", 1.0)
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-                raise SpaceError(f"{lpath}.weight: must be a number")
-            if not abs(weight) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
-                raise SpaceError(f"{lpath}.weight: must be finite")
-            if weight < 0:
-                raise SpaceError(f"{lpath}.weight: must be >= 0")
+            label, value, weight = read(rl, _LEVEL, SpaceError, ("factors", i, "levels", j))
             try:
-                levels.append(Level(label=label, value=value, weight=float(weight)))
+                levels.append(Level(label=label, value=label if value is None else value, weight=float(weight)))
             except SpaceError as exc:
-                raise SpaceError(f"{lpath}: {exc}") from exc
+                raise SpaceError(f"factors[{i}].levels[{j}]: {exc}") from exc
         try:
-            factors.append(
-                Factor(name=name, role=role, levels=tuple(levels), stratum=bool(rf.get("stratum", False)))
-            )
+            factors.append(Factor(name=name, role=role, levels=tuple(levels), stratum=stratum))
         except SpaceError as exc:
-            raise SpaceError(f"{path}: {exc}") from exc
-    raw_exclusions = doc.get("exclusions", [])
-    if not isinstance(raw_exclusions, Sequence):
-        raise SpaceError("exclusions: must be an array")
-    exclusions = []
-    for i, re_ in enumerate(raw_exclusions):
-        if not isinstance(re_, Mapping) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in re_.items()
-        ):
-            raise SpaceError(f"exclusions[{i}]: must be an object mapping factor name to level label")
-        exclusions.append(dict(re_))
-    return ConfigSpace(factors=tuple(factors), exclusions=tuple(exclusions))
+            raise SpaceError(f"factors[{i}]: {exc}") from exc
+    return ConfigSpace(factors=tuple(factors), exclusions=tuple(map(dict, exclusions)))
 
 
 def load_space_file(path: str | Path) -> ConfigSpace:

@@ -240,8 +240,8 @@ def paired_diffs(log: RunLog, plan: DesignPlan, aggregate: str = "median") -> Di
     return DiffSample(
         diffs=diffs,
         unit=log.header.unit,
-        cui_a=str(plan.metadata.get("cui_a", ARM_A)),
-        cui_ref=str(plan.metadata.get("cui_ref", ARM_REF)),
+        cui_a=plan.metadata.get("cui_a", ARM_A),
+        cui_ref=plan.metadata.get("cui_ref", ARM_REF),
     )
 
 

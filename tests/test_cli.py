@@ -135,6 +135,22 @@ class TestPlanCommand:
         assert code == 0
         assert out.startswith("configs=32 trials=96")
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ({"cpu": 5}, "split.cpu: must be an object, got 5"),
+            ({"cpu": {"low": 5, "high": ["ht_off"]}}, "split.cpu.low: must be an array, got 5"),
+            ({"cpu": {"low": ["ht_on"], "high": [None]}}, "split.cpu.high[0]: must be text, got None"),
+            ({"cpu": {"low": ["ht_on"]}}, "split.cpu: missing field 'high'"),
+            (["cpu"], "split: must be an object, got ['cpu']"),
+        ],
+    )
+    def test_mistyped_split_names_its_key(self, ws, capsys, split, message):
+        code, out, err = run_cli(
+            capsys, "plan", "2kr", "--space", ws["space"], "--plan-out", ws["dir"] / "2kr.json", "--split", json.dumps(split)
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_plan_run_round_trip(self, ws, capsys):
         plan_path = ws["dir"] / "rt.json"
         code, _, _ = run_cli(
@@ -348,6 +364,26 @@ class TestAnalyzeCommand:
         assert lines[0].startswith("delta_e,")
         assert lines[1].split(",")[0] == "2.000000"
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["1", "2", "3", "4"], "--weights[0]: must be a number, got '1'"),
+            ([1, 2, True, float("nan")], "--weights[2]: must be a number, got True"),
+            ([1, 2, 3, float("nan")], "--weights[3]: must be finite, got nan"),
+            ({"w": 1}, "--weights: must be an array, got {'w': 1}"),
+        ],
+    )
+    def test_mistyped_weights_name_their_index(self, ws, capsys, weights, message):
+        # [1, 2, true, NaN] once printed delta_e=nan and exited 0.
+        plan_path, log_path = self.run_pipeline(ws, capsys)
+        weights_path = ws["dir"] / "weights.json"
+        weights_path.write_text(json.dumps(weights))
+        code, out, err = run_cli(
+            capsys, "analyze", "effect", "--average", "weighted", "--weights", weights_path,
+            "--log", log_path, "--plan", plan_path,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_alpha_rejected(self, ws, capsys):
         plan_path, log_path = self.run_pipeline(ws, capsys)
         code, _, err = run_cli(
@@ -379,7 +415,7 @@ class TestAnalyzeCommand:
         "edit,message",
         [
             (lambda head: head.pop("space_digest"), "missing field 'space_digest'"),
-            (lambda head: head.update(plan_digest=5), "field 'plan_digest' has the wrong type: 5"),
+            (lambda head: head.update(plan_digest=5), "plan_digest: must be text, got 5"),
         ],
     )
     def test_bad_log_header_exits_1(self, ws, capsys, tmp_path, edit, message):

@@ -393,8 +393,20 @@ class TestScenarioLoading:
             (("iterations",), float("inf"), "iterations: must be an integer, got inf"),
             (("methods", 0, "n"), None, r"methods\[0\]\.n: must be an integer, got None"),
             (("methods", 0, "r"), {}, r"methods\[0\]\.r: must be an integer, got \{\}"),
+            (("alpha",), "0.05", "alpha: must be a number, got '0.05'"),
+            (("iterations",), True, "iterations: must be an integer, got True"),
+            (("master_seed",), 7.9, "master_seed: must be an integer, got 7.9"),
+            (("alpha",), float("nan"), "alpha: must be finite, got nan"),
+            (("methods", 0, "kind"), 5, r"methods\[0\]\.kind: must be text, got 5"),
+            (("methods", 0, "stratify"), ["w"], r"methods\[0\]\.stratify: must be text or null, got \['w'\]"),
+            (("methods", 0, "label"), 5, r"methods\[0\]\.label: must be text or null, got 5"),
+            (("methods", 0, "split"), 5, r"methods\[0\]\.split: must be an object or null, got 5"),
         ],
-        ids=["iterations-null", "master_seed-text", "alpha-list", "iterations-inf", "n-null", "r-object"],
+        ids=[
+            "iterations-null", "master_seed-text", "alpha-list", "iterations-inf", "n-null", "r-object",
+            "alpha-text", "iterations-bool", "master_seed-float", "alpha-nan",
+            "kind-number", "stratify-list", "label-number", "split-number",
+        ],
     )
     def test_wrongly_typed_number_names_its_key(self, path, value, message, tmp_path, capsys):
         doc = self.doc()

@@ -82,14 +82,16 @@ MODEL = {
         ({"noise_sd": "0.5"}, "noise_sd"),
         ({"noise_sd": None}, "noise_sd"),
         ({"noise_sd": -math.inf}, "noise_sd"),
+        ({"unit": 5}, "unit: must be text, got 5"),
+        ({"unit": None}, "unit: must be text, got None"),
         ({"main_effects": 3}, "main_effects"),
         ({"main_effects": {"factor": "cpu"}}, "main_effects"),
         ({"interactions": "none"}, "interactions"),
         ({"main_effects": [{"factor": "cpu", "level": "off", "effect": False}]}, "main_effects[0].effect"),
         ({"main_effects": [{"factor": "cpu", "level": "off", "effect": "2"}]}, "main_effects[0].effect"),
         ({"main_effects": [{"factor": "cpu", "level": "off", "effect": math.nan}]}, "main_effects[0].effect"),
-        ({"main_effects": [{"factor": 1, "level": "off", "effect": 2}]}, "main_effects[0]: factor and level"),
-        ({"main_effects": [{"factor": "cpu", "level": None, "effect": 2}]}, "main_effects[0]: factor and level"),
+        ({"main_effects": [{"factor": 1, "level": "off", "effect": 2}]}, "main_effects[0].factor: must be text, got 1"),
+        ({"main_effects": [{"factor": "cpu", "level": None, "effect": 2}]}, "main_effects[0].level: must be text, got None"),
         ({"interactions": [{"terms": {"cpu": 1}, "effect": 1.0}]}, "interactions[0].terms"),
         ({"interactions": [{"terms": {"cpu": "off"}, "effect": math.inf}]}, "interactions[0].effect"),
         ({"interactions": [{"terms": {"cpu": "off"}, "effect": None}]}, "interactions[0].effect"),

@@ -132,6 +132,37 @@ def test_loader_rejects_what_the_writer_cannot_write(field, value):
         plan_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("trials", 1, "replicate"), 0.9, "trials[1].replicate: must be an integer, got 0.9"),
+        (("trials", 1, "seed"), True, "trials[1].seed: must be an integer, got True"),
+        (("r",), "1", "r: must be an integer, got '1'"),
+        (("master_seed",), 7.9, "master_seed: must be an integer, got 7.9"),
+        (("method",), 5, "method: must be text, got 5"),
+        (("trials", 1, "assignment", "cpu"), ["ht_on"], "trials[1].assignment.cpu: must be text, got ['ht_on']"),
+        (("metadata", "cui_a"), 1, "metadata.cui_a: must be text, got 1"),
+    ],
+)
+def test_loader_names_the_mistyped_field_instead_of_coercing_it(path, value, message, tmp_path, capsys):
+    # Each of the first five once loaded: replicate 0, seed 1, r 1, master seed 7, method 5.
+    doc = json.loads(plan_to_json(BUILDERS["paired"](load_space(SPACE), 1)))
+    *outer, key = path
+    target = doc
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(PlanError) as caught:
+        plan_from_json(json.dumps(doc))
+    assert str(caught.value) == f"malformed plan document: {message}"
+    plan_path, model_path = tmp_path / "plan.json", tmp_path / "model.json"
+    plan_path.write_text(json.dumps(doc))
+    model_path.write_text("{}")
+    code = main(["run", "--plan", str(plan_path), "--log", str(tmp_path / "log.jsonl"), "--backend", f"synthetic:{model_path}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: malformed plan document: {message}\n"
+
+
 def test_paired_planning_hashes_only_the_configurations_it_uses(tmp_path, monkeypatch):
     # Shaped like the benchmark's exclusion-heavy spaces: a two-level CUI,
     # twelve two-level DC factors, pairwise exclusions at one corner of the

@@ -86,6 +86,31 @@ class TestLoadSpace:
         with pytest.raises(SpaceError, match=r"factors\[1\]\.levels\[0\]\.weight: must be finite"):
             load_space(text)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            # "no" once made the factor a stratum through bool().
+            (("factors", 1, "stratum"), "no", "factors[1].stratum: must be true or false, got 'no'"),
+            (("factors", 1, "stratum"), 0, "factors[1].stratum: must be true or false, got 0"),
+            (("factors", 1, "levels", 0, "weight"), True, "factors[1].levels[0].weight: must be a number, got True"),
+            (("factors", 1, "levels", 0, "value"), None, "factors[1].levels[0].value: must be text, got None"),
+            (("factors", 1, "name"), 5, "factors[1].name: must be text, got 5"),
+            (("factors", 1, "levels"), {}, "factors[1].levels: must be an array, got {}"),
+            (("factors", 0), "cpu", "factors[0]: must be an object, got 'cpu'"),
+            (("exclusions",), [{"w": 1}], "exclusions[0].w: must be text, got 1"),
+        ],
+    )
+    def test_wrongly_typed_field_names_its_path(self, path, value, message):
+        doc = space_doc()
+        *outer, key = path
+        target = doc
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(SpaceError) as caught:
+            load_space(json.dumps(doc))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_level_weight_rejected(self, weight):
         with pytest.raises(SpaceError, match="weight must be finite"):
