@@ -44,7 +44,7 @@ def assignment_id(assignment: dict[str, str]) -> str:
 
     Independent of insertion order, stable across runs and platforms.
     """
-    joined = "\n".join(f"{name}={label}" for name, label in sorted(assignment.items()))
+    joined = "\n".join([f"{name}={label}" for name, label in sorted(assignment.items())])
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:32]
 
 
@@ -86,12 +86,12 @@ class Kind:
 
 def parse_json(document: Any, error: Callable[[str], Exception], what: str) -> Any:
     """``document`` parsed where it is JSON text, else as it is; ``error``
-    names ``what`` where the text does not parse."""
+    names ``what`` where the text does not parse or nests too deeply to."""
     if not isinstance(document, str):
         return document
     try:
         return json.loads(document)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -8,15 +8,16 @@ levels of the factor under investigation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, derive_seed, digest, json_scalar, parse_json, read
+from ._util import Kind, canonical_json, derive_seed, json_scalar, parse_json, read
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -35,8 +36,7 @@ class PlanError(ValueError):
     """Raised when a design plan cannot be constructed as requested."""
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
     """One scheduled measurement: a configuration at a replicate index."""
 
     config: Configuration
@@ -90,11 +90,37 @@ class DesignPlan:
 
     @cached_property
     def plan_digest(self) -> str:
-        return digest(self.to_dict())
+        """``digest(self.to_dict())``, streamed into one SHA-256.
+
+        The head is the canonical JSON of the plan without its trials, cut
+        before the empty list ("trials" sorts after every other key). Each
+        trial is its unit's prefix, encoded once for the unit's replicates,
+        then its replicate and seed.
+        """
+        head = canonical_json(replace(self, trials=()).to_dict())
+        h = hashlib.sha256(head[: -len("]}")].encode("ascii"))
+        prefixes: dict[tuple[int, str | None, str, str | None], bytes] = {}
+        sep = b""
+        for t in self.trials:
+            unit = (id(t.config), t.arm, t.group, t.pair_id)  # the plan keeps each config alive
+            prefix = prefixes.get(unit)
+            if prefix is None:
+                j = json_scalar
+                entries = ",".join([f"{j(k)}:{j(v)}" for k, v in sorted(t.config.assignment.items())])
+                text = _TRIAL_HEAD % (j(t.arm), entries, j(t.group), j(t.pair_id))
+                prefix = prefixes[unit] = text.encode("ascii")
+            h.update(sep + prefix + b'%d,"seed":%d}' % (t.replicate, t.seed))
+            sep = b","
+        h.update(b"]}")
+        return h.hexdigest()
+
+
+# One trial's canonical JSON up to its replicate: keys sorted, no whitespace.
+_TRIAL_HEAD = '{"arm":%s,"assignment":{%s},"group":%s,"pair_id":%s,"replicate":'
 
 
 def plan_digest(plan: DesignPlan) -> str:
-    """Digest of the plan's canonical form; serialized once per plan object."""
+    """Digest of the plan's canonical form; computed once per plan object."""
     return plan.plan_digest
 
 
@@ -155,6 +181,8 @@ def _malformed(message: str) -> PlanError:
 
 def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     method, raw_trials, r, master_seed, space_digest, metadata = read(doc, _PLAN, _malformed)
+    if r < 1:  # the rule of ``require_replicates``
+        raise _malformed(f"r: must be >= 1, got {r}")
     factors, *_ = read(metadata, _METADATA, _malformed, ("metadata",))
     for i, f in enumerate(factors):
         read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
@@ -195,22 +223,23 @@ def require_replicates(r: int) -> None:
 def _plan(
     method: str,
     space: ConfigSpace,
-    units: Iterable[Sequence[tuple[Configuration, Mapping[str, Any]]]],
+    units: Iterable[Sequence[tuple[Configuration, str, str | None, str | None]]],
     r: int,
     seed: int,
     metadata: Mapping[str, Any],
 ) -> DesignPlan:
     """Expand units into trials: unit by unit, replicates in order, and a
-    unit's (configuration, trial tags) arms adjacent within each replicate.
+    unit's (configuration, group, pair id, arm) arms adjacent within each
+    replicate.
 
     Trial seeds are keyed by configuration id and replicate, so
     reproducibility is schedule-independent.
     """
     trials = tuple(
-        Trial(config=cfg, replicate=rep, seed=derive_seed(seed, cfg.id, rep), **tags)
+        Trial(cfg, rep, group, pair_id, arm, derive_seed(seed, cfg.id, rep))
         for unit in units
         for rep in range(r)
-        for cfg, tags in unit
+        for cfg, group, pair_id, arm in unit
     )
     return DesignPlan(
         method=method,
@@ -236,7 +265,7 @@ def full_factorial(
     n_configs = space.cartesian_size()
     if n_configs * r > budget:
         raise PlanError(f"budget exceeded: {n_configs * r} trials > budget {budget}")
-    units = [[(cfg, {})] for cfg in space.enumerate_configs(budget=budget)]
+    units = [[(cfg, GROUP_SINGLE, None, None)] for cfg in space.enumerate_configs(budget=budget)]
     metadata = {
         "cost": n_configs,
         "factors": [{"name": f.name, "labels": list(f.labels())} for f in space.factors],
@@ -346,7 +375,7 @@ def factorial_2kr(
         "stratify": stratify,
         "split": {fname: {"low": list(lo), "high": list(hi)} for fname, (lo, hi) in blocks.items()},
     }
-    units = [[(Configuration(assignment), {})] for assignment in cells]
+    units = [[(Configuration(assignment), GROUP_SINGLE, None, None)] for assignment in cells]
     return _plan("factorial_2kr", space, units, r, seed, metadata)
 
 
@@ -477,7 +506,7 @@ def rct_plan(
                 raise PlanError(
                     f"{group} completion with {cui.name}={cui_label!r} is excluded for dc {pool.config(i).id}"
                 )
-            units.append([(Configuration(assignment), {"group": group})])
+            units.append([(Configuration(assignment), group, None, None)])
     metadata = {"cost": n, "n": n, "cui_control": cui_control, "cui_treatment": cui_treatment}
     return _plan("rct", space, units, r, seed, metadata)
 
@@ -508,8 +537,7 @@ def paired_plan(
             side_a, side_ref = space.pair_with(dc, cui_a, cui_ref)
         except SpaceError as exc:
             raise PlanError(str(exc)) from exc
-        tags = {"group": GROUP_PAIR, "pair_id": dc.id}
-        units.append([(side_a, {**tags, "arm": ARM_A}), (side_ref, {**tags, "arm": ARM_REF})])
+        units.append([(side_a, GROUP_PAIR, dc.id, ARM_A), (side_ref, GROUP_PAIR, dc.id, ARM_REF)])
     metadata = {
         "cost": len(dc_sample),
         "n_pairs": len(dc_sample),

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Mapping, NamedTuple
 
 from ._util import Kind, json_scalar, read
 from .design import DesignPlan, Trial, plan_digest
@@ -35,33 +35,44 @@ class RunError(ValueError):
     """Raised for log/plan mismatches and malformed run logs."""
 
 
-@dataclass(frozen=True)
-class Measurement:
+class _MeasurementFields(NamedTuple):
     config_id: str
     replicate: int
     value: float | None
     backend: str
     wall_time: float
-    status: str = "ok"
-    reason: str | None = None
+    status: str
+    reason: str | None
 
-    def __post_init__(self) -> None:
-        if self.status == "ok":
-            if self.value is None or not (self.value == self.value and abs(self.value) != float("inf")):
-                raise RunError(f"measurement {self.config_id}/{self.replicate}: value must be finite")
-        elif self.status != "failed":
-            raise RunError(f"measurement status must be ok or failed, got {self.status!r}")
+
+class Measurement(_MeasurementFields):
+    """One trial's outcome: a finite value when ok, the reason when failed."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        config_id: str,
+        replicate: int,
+        value: float | None,
+        backend: str,
+        wall_time: float,
+        status: str = "ok",
+        reason: str | None = None,
+    ) -> "Measurement":
+        if status == "ok":
+            if value is None or not (value == value and abs(value) != float("inf")):
+                raise RunError(f"measurement {config_id}/{replicate}: value must be finite")
+        elif status != "failed":
+            raise RunError(f"measurement status must be ok or failed, got {status!r}")
+        return tuple.__new__(cls, (config_id, replicate, value, backend, wall_time, status, reason))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Measurement":  # so that ``_replace`` checks too
+        return cls(*iterable)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "config_id": self.config_id,
-            "replicate": self.replicate,
-            "value": self.value,
-            "backend": self.backend,
-            "wall_time": self.wall_time,
-            "status": self.status,
-            "reason": self.reason,
-        }
+        return self._asdict()
 
 
 # One log record, ``json.dumps(m.to_dict(), sort_keys=True)`` plus its newline.
@@ -147,7 +158,7 @@ class RunLog:
             raise RunError(f"run log {path} is empty")
         try:
             head = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise RunError(f"run log {path}: bad header line: {exc}") from exc
         if type(head) is not dict or head.get("kind") != "runlog":
             raise RunError(f"run log {path}: first line is not a runlog header")
@@ -160,7 +171,7 @@ class RunLog:
                 continue
             try:
                 m = Measurement(*read(json.loads(line), _RECORD, ValueError))
-            except ValueError as exc:  # bad JSON, a missing or mistyped field, or Measurement checks
+            except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
                 if torn and i == len(lines):
                     print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
                     log._reopen = (complete, "")

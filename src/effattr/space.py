@@ -102,8 +102,9 @@ class Configuration:
     id: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        object.__setattr__(self, "id", assignment_id(dict(self.assignment)))
+        assignment = dict(self.assignment)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "id", assignment_id(assignment))
 
     def extended(self, more: Mapping[str, str]) -> "Configuration":
         merged = dict(self.assignment)

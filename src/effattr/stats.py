@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Sequence
 
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial
 from .runner import RunLog, collapse
+from .space import Configuration
 from .special import betainc_inv
 
 VERDICT_REJECT = "reject"
@@ -399,6 +400,26 @@ class AnovaTable:
     alpha: float
 
 
+def _anova_cell(config: Configuration, names: list[str], index: list[dict[str, int]]) -> tuple[int, ...]:
+    """The configuration's level positions in the grid of ``metadata.factors``."""
+    assignment = config.assignment
+    if assignment.keys() != set(names):
+        raise StatsError(
+            f"anova: configuration {config.id} sets factors {sorted(assignment)}, "
+            f"but the plan's metadata.factors names {sorted(names)}"
+        )
+    cell = []
+    for name, positions in zip(names, index):
+        label = assignment[name]
+        if label not in positions:
+            raise StatsError(
+                f"anova: configuration {config.id} sets {name}={label!r}, "
+                f"a label that the plan's metadata.factors does not list"
+            )
+        cell.append(positions[label])
+    return tuple(cell)
+
+
 def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     """Balanced complete-factorial decomposition with every interaction order.
 
@@ -432,15 +453,18 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
             f"{len(plan.trials)} trials, {n_cells} level combinations x r {r} need {n_cells * r}"
         )
     y = np.full(shape, np.nan)
+    cells: dict[int, tuple[int, ...]] = {}  # by Configuration object, which replicates share
     for trial in plan.trials:
-        value = log.ok_value(trial.config.id, trial.replicate)
+        config, rep = trial.config, trial.replicate
+        cell = cells.get(id(config))
+        if cell is None:
+            cell = cells[id(config)] = _anova_cell(config, names, index)
+        if not 0 <= rep < r:
+            raise StatsError(f"anova: trial {config.id}/{rep} has a replicate outside 0..{r - 1}")
+        value = log.ok_value(config.id, rep)
         if value is None:
-            raise StatsError(
-                f"anova: unbalanced design; missing ok measurement for "
-                f"{trial.config.id}/{trial.replicate}"
-            )
-        coord = tuple(index[i][trial.config.assignment[name]] for i, name in enumerate(names))
-        y[coord + (trial.replicate,)] = value
+            raise StatsError(f"anova: unbalanced design; missing ok measurement for {config.id}/{rep}")
+        y[cell + (rep,)] = value
     if np.isnan(y).any():
         raise StatsError("anova: unbalanced design; some cells have no measurement")
 

@@ -23,6 +23,8 @@ from effattr import (
     new_log,
     run,
 )
+from effattr._util import assignment_id
+from effattr.cli import main
 from effattr.runner import Backend
 from conftest import space_doc
 
@@ -179,6 +181,58 @@ class TestStructure:
         run(plan, backend, log)
         with pytest.raises(StatsError, match="full_factorial"):
             anova(log, plan)
+
+
+def _rename_factor(doc):
+    doc["metadata"]["factors"][0]["name"] = "renamed"
+
+
+def _rename_label(doc):
+    doc["metadata"]["factors"][0]["labels"][0] = "renamed"
+
+
+def _set_replicate(value):
+    def edit(doc):
+        doc["trials"][0]["replicate"] = value
+
+    return edit
+
+
+class TestLoadedPlanChecks:
+    """A loaded full plan whose trials do not fit its own structure exits 1."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_rename_factor, _rename_label, _set_replicate(10**30), _set_replicate(-1)],
+        ids=["factor-name", "label", "replicate-huge", "replicate-negative"],
+    )
+    def test_mismatched_plan_is_a_domain_error(self, tmp_path, capsys, edit):
+        plan_path, log_path = tmp_path / "full.json", tmp_path / "full.jsonl"
+        argv = ["plan", "full", "--space", SCENARIOS / "cpu_space_complete.json", "--plan-out", plan_path, "--r", "2"]
+        assert main([str(a) for a in argv]) == 0
+        doc = json.loads(plan_path.read_text())
+        factors = doc["metadata"]["factors"]
+        first = doc["trials"][0]
+        original = {"name": factors[0]["name"], "label": factors[0]["labels"][0]}
+        edit(doc)
+        plan_path.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        assert main(["run", "--plan", str(plan_path), "--log", str(log_path), "--backend", backend]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "anova", "--plan", str(plan_path), "--log", str(log_path)]) == 1
+        out, err = capsys.readouterr()
+        config = f"anova: configuration {assignment_id(first['assignment'])}"
+        expected = {
+            _rename_factor: (
+                f"{config} sets factors {sorted(first['assignment'])}, "
+                f"but the plan's metadata.factors names {sorted(f['name'] for f in factors)}"
+            ),
+            _rename_label: (
+                f"{config} sets {original['name']}={original['label']!r}, "
+                "a label that the plan's metadata.factors does not list"
+            ),
+        }.get(edit, f"anova: trial {assignment_id(first['assignment'])}/{first['replicate']} has a replicate outside 0..1")
+        assert (out, err) == ("", f"error: {expected}\n")
 
 
 def oracle_two_factor(y):

@@ -83,6 +83,13 @@ class TestSpaceCommand:
         code, _, err = run_cli(capsys, "space", "size", ws["dir"] / "nope.json")
         assert code == 2
 
+    def test_too_deeply_nested_document_is_domain_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(capsys, "space", "validate", deep)
+        assert code == 1 and out == ""
+        assert err.startswith("error: space document is not valid JSON: ") and "recursion" in err
+
 
 class TestPlanCommand:
     def test_paired_counts_line(self, ws, capsys):
@@ -276,6 +283,17 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "analyze", "anova", "--log", log_path, "--plan", plans[2])
         assert code == 1 and out == ""
         assert "error: log/plan mismatch: log was created for plan" in err
+
+    def test_too_deeply_nested_log_line_is_domain_error(self, ws, capsys):
+        plan_path, log_path = ws["dir"] / "full.json", ws["dir"] / "full.jsonl"
+        run_cli(capsys, "plan", "full", "--space", ws["space"], "--plan-out", plan_path, "--r", "2")
+        run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")
+        line = len(log_path.read_text().splitlines()) + 1
+        with open(log_path, "a") as fh:
+            fh.write("[" * 200_000 + "]" * 200_000 + "\n")
+        code, out, err = run_cli(capsys, "analyze", "anova", "--log", log_path, "--plan", plan_path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: run log {log_path}:{line}: malformed record: ") and "recursion" in err
 
     def test_failing_external_command_gives_partial_code(self, ws, capsys):
         plan_path = self.plan(ws, capsys)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,13 @@ from effattr import (
     factorial_2kr,
     full_factorial,
     load_space,
+    load_space_file,
     paired_plan,
     rct_plan,
     simple_random_sample,
     stratified_sample,
 )
+from effattr._util import digest
 from effattr.cli import main
 from effattr.design import plan_digest, plan_from_json, plan_to_json
 from conftest import space_doc
@@ -59,7 +62,9 @@ def assert_round_trip(plan, text):
     loaded = plan_from_json(text)
     assert loaded.to_dict() == plan.to_dict()
     assert plan_to_json(loaded) == text
-    assert plan_digest(loaded) == plan_digest(plan)
+    # The streamed digest against the canonical JSON of the whole plan.
+    assert plan_digest(plan) == digest(plan.to_dict())
+    assert plan_digest(loaded) == digest(loaded.to_dict()) == plan_digest(plan)
     # One Configuration object per distinct assignment, shared by its trials.
     shared = {}
     for t in loaded.trials:
@@ -75,6 +80,32 @@ def test_writer_equals_oracle_and_round_trips(builder, r):
     text = plan_to_json(plan)
     assert text == oracle(plan)
     assert_round_trip(plan, text)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED_SPLIT = {
+    "smt": {"low": ["smt_on"], "high": ["smt_off"]},
+    "workload": {"low": ["fluid_sim", "stencil", "fft", "nbody", "graph_bfs"],
+                 "high": ["sort", "compress", "raytrace", "linsolve", "montecarlo"]},
+    "dataset": {"low": ["small"], "high": ["medium", "large"]},
+    "opt_level": {"low": ["O1"], "high": ["O2", "O3"]},
+    "threads": {"low": ["t1", "t2", "t4", "t8"], "high": ["t12", "t16", "t24", "t32"]},
+}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", ["cpu_space.json", "cpu_space_complete.json"])
+def test_every_method_round_trips_on_the_bundled_spaces(name, seed):
+    space = load_space_file(SCENARIOS / name)
+    dc = stratified_sample(space, "workload", 10, seed)
+    for r in (1, 3):
+        for plan in (
+            full_factorial(space, r, seed=seed),
+            factorial_2kr(space, BUNDLED_SPLIT, r, seed=seed),
+            rct_plan(space, "smt_on", "smt_off", n=10, r=r, seed=seed),
+            paired_plan(space, "smt_off", "smt_on", dc, r, seed=seed),
+        ):
+            assert_round_trip(plan, plan_to_json(plan))
 
 
 # Quotes, backslashes, control characters (the unit separator among them),
@@ -138,6 +169,8 @@ def test_loader_rejects_what_the_writer_cannot_write(field, value):
         (("trials", 1, "replicate"), 0.9, "trials[1].replicate: must be an integer, got 0.9"),
         (("trials", 1, "seed"), True, "trials[1].seed: must be an integer, got True"),
         (("r",), "1", "r: must be an integer, got '1'"),
+        (("r",), 0, "r: must be >= 1, got 0"),
+        (("r",), -1, "r: must be >= 1, got -1"),
         (("master_seed",), 7.9, "master_seed: must be an integer, got 7.9"),
         (("method",), 5, "method: must be text, got 5"),
         (("trials", 1, "assignment", "cpu"), ["ht_on"], "trials[1].assignment.cpu: must be text, got ['ht_on']"),
@@ -145,7 +178,8 @@ def test_loader_rejects_what_the_writer_cannot_write(field, value):
     ],
 )
 def test_loader_names_the_mistyped_field_instead_of_coercing_it(path, value, message, tmp_path, capsys):
-    # Each of the first five once loaded: replicate 0, seed 1, r 1, master seed 7, method 5.
+    # Each of the first seven once loaded: replicate 0, seed 1, r 1, r 0, r -1, master
+    # seed 7, method 5.
     doc = json.loads(plan_to_json(BUILDERS["paired"](load_space(SPACE), 1)))
     *outer, key = path
     target = doc

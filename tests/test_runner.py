@@ -171,6 +171,46 @@ class TestThreads:
         assert threads == {threading.get_ident()}
 
 
+class TestRecordTypes:
+    """Trials and measurements are immutable records with fixed fields."""
+
+    def test_fields_defaults_equality_and_immutability(self):
+        config = Configuration({"cpu": "ht_on"})
+        trial = Trial(config=config, replicate=2)
+        assert Trial._fields == ("config", "replicate", "group", "pair_id", "arm", "seed")
+        assert (trial.group, trial.pair_id, trial.arm, trial.seed) == ("single", None, None, 0)
+        assert trial == Trial(config, 2, "single", None, None, 0)
+        assert trial != Trial(config, 2, seed=1)
+        m = Measurement(config_id="c", replicate=0, value=1.5, backend="synthetic", wall_time=0.0)
+        assert Measurement._fields == ("config_id", "replicate", "value", "backend", "wall_time", "status", "reason")
+        assert (m.status, m.reason) == ("ok", None)
+        assert m == Measurement("c", 0, 1.5, "synthetic", 0.0, "ok", None)
+        assert m != Measurement("c", 1, 1.5, "synthetic", 0.0)
+        assert m.to_dict() == dict(zip(Measurement._fields, ("c", 0, 1.5, "synthetic", 0.0, "ok", None)))
+        assert list(m.to_dict()) == list(Measurement._fields)
+        for record, name in ((trial, "seed"), (m, "value"), (m, "anything")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    @pytest.mark.parametrize(
+        "value, status, message",
+        [
+            (None, "ok", "measurement c/3: value must be finite"),
+            (math.nan, "ok", "measurement c/3: value must be finite"),
+            (-math.inf, "ok", "measurement c/3: value must be finite"),
+            (1.0, "done", "measurement status must be ok or failed, got 'done'"),
+        ],
+    )
+    def test_measurement_checks_keep_their_messages(self, value, status, message):
+        with pytest.raises(RunError) as caught:
+            Measurement(config_id="c", replicate=3, value=value, backend="x", wall_time=0.0, status=status)
+        assert str(caught.value) == message
+        valid = Measurement(config_id="c", replicate=3, value=1.0, backend="x", wall_time=0.0)
+        with pytest.raises(RunError) as caught:
+            valid._replace(value=value, status=status)
+        assert str(caught.value) == message
+
+
 class TestRecordTemplate:
     """Every log record is the canonical ``json.dumps`` of its measurement."""
 
