@@ -9,6 +9,7 @@ run (failed trials remain). Machine-readable data goes to stdout (or
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -271,7 +272,10 @@ def cmd_meta(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: each parse returns a fresh
+    namespace, and ``main`` looks the subcommand up by name on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomized steps")
     common.add_argument("--alpha", type=float, default=0.01, help="significance level")
@@ -285,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_space = sub.add_parser("space", parents=[common], help="validate a space or report cardinalities")
     p_space.add_argument("action", choices=("validate", "size"))
     p_space.add_argument("space")
-    p_space.set_defaults(func=cmd_space)
 
     p_plan = sub.add_parser("plan", parents=[common], help="emit a design plan")
     p_plan.add_argument("method", choices=("full", "2kr", "rct", "paired"))
@@ -305,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--treatment", default=None, help="rct treatment CUI level")
     p_plan.add_argument("--cui-a", default=None, help="paired investigated CUI level")
     p_plan.add_argument("--cui-ref", default=None, help="paired reference CUI level")
-    p_plan.set_defaults(func=cmd_plan)
 
     p_run = sub.add_parser("run", parents=[common], help="execute a plan against a backend")
     p_run.add_argument("--plan", required=True)
@@ -323,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--retry", type=int, default=0, help="in-run retries for failed trials")
     p_run.add_argument("--unit", default="seconds", help="measurement unit (external backend)")
     p_run.add_argument("--timeout", type=float, default=None, help="per-trial timeout in seconds")
-    p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", parents=[common], help="analyze a run log")
     p_an.add_argument("what", choices=("effect", "ttest", "anova"))
@@ -333,11 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--weights", default=None, help="JSON array of per-pair weights")
     p_an.add_argument("--mu0", type=float, default=0.0)
     p_an.add_argument("--aggregate", choices=runner.AGGREGATE_METHODS, default="median")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_meta = sub.add_parser("meta", parents=[common], help="accuracy/cost meta-evaluation")
     p_meta.add_argument("--scenario", required=True)
-    p_meta.set_defaults(func=cmd_meta)
 
     return parser
 
@@ -350,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
         return EXIT_OK if code == 0 else EXIT_DOMAIN
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # the base of every domain error: SpaceError, PlanError, ...
         _diag(f"error: {exc}")
         return EXIT_DOMAIN

@@ -191,6 +191,8 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     trials = []
     for i, t in enumerate(raw_trials):
         assignment, replicate, group, pair_id, arm, seed = read(t, _TRIAL, _malformed, ("trials", i))
+        if not 0 <= replicate < r:
+            raise _malformed(f"trials[{i}].replicate: must be in 0..{r - 1}, got {replicate}")
         key = tuple(assignment.items())
         try:
             config = configs.get(key)

@@ -147,12 +147,6 @@ class ConfigPool:
         return self._strata[factor]
 
 
-def _matches_exclusion(assignment: Mapping[str, str], exclusion: Mapping[str, str]) -> bool:
-    # A config extends an exclusion iff every excluded factor is assigned
-    # exactly the excluded label. Factors absent from the assignment never match.
-    return all(assignment.get(f) == lab for f, lab in exclusion.items())
-
-
 def _check_budget(size: int, budget: int) -> None:
     if size > budget:
         raise SpaceError(f"enumeration budget exceeded: {size} configurations > budget {budget}")
@@ -296,7 +290,10 @@ class ConfigSpace:
         return tuple(f for f in self.factors if f.role in roleset)
 
     def is_valid(self, assignment: Mapping[str, str]) -> bool:
-        return not any(_matches_exclusion(assignment, e) for e in self.exclusions)
+        # An assignment extends an exclusion iff it holds every excluded
+        # (factor, label) pair; absent factors never match.
+        items = assignment.items()
+        return not any(items >= e.items() for e in self.exclusions)
 
     # -- counting -------------------------------------------------------
 

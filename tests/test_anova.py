@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -201,11 +202,7 @@ def _set_replicate(value):
 class TestLoadedPlanChecks:
     """A loaded full plan whose trials do not fit its own structure exits 1."""
 
-    @pytest.mark.parametrize(
-        "edit",
-        [_rename_factor, _rename_label, _set_replicate(10**30), _set_replicate(-1)],
-        ids=["factor-name", "label", "replicate-huge", "replicate-negative"],
-    )
+    @pytest.mark.parametrize("edit", [_rename_factor, _rename_label], ids=["factor-name", "label"])
     def test_mismatched_plan_is_a_domain_error(self, tmp_path, capsys, edit):
         plan_path, log_path = tmp_path / "full.json", tmp_path / "full.jsonl"
         argv = ["plan", "full", "--space", SCENARIOS / "cpu_space_complete.json", "--plan-out", plan_path, "--r", "2"]
@@ -231,8 +228,37 @@ class TestLoadedPlanChecks:
                 f"{config} sets {original['name']}={original['label']!r}, "
                 "a label that the plan's metadata.factors does not list"
             ),
-        }.get(edit, f"anova: trial {assignment_id(first['assignment'])}/{first['replicate']} has a replicate outside 0..1")
+        }[edit]
         assert (out, err) == ("", f"error: {expected}\n")
+
+    @pytest.mark.parametrize("replicate", [10**30, -1, 2], ids=["replicate-huge", "replicate-negative", "replicate-r"])
+    def test_replicate_outside_the_plan_is_rejected_at_load(self, tmp_path, capsys, replicate):
+        plan_path, log_path = tmp_path / "full.json", tmp_path / "full.jsonl"
+        argv = ["plan", "full", "--space", SCENARIOS / "cpu_space_complete.json", "--plan-out", plan_path, "--r", "2"]
+        assert main([str(a) for a in argv]) == 0
+        doc = json.loads(plan_path.read_text())
+        _set_replicate(replicate)(doc)
+        plan_path.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        expected = f"error: malformed plan document: trials[0].replicate: must be in 0..1, got {replicate}\n"
+        capsys.readouterr()
+        assert main(["run", "--plan", str(plan_path), "--log", str(log_path), "--backend", backend]) == 1
+        assert capsys.readouterr() == ("", expected)
+        assert not log_path.exists()
+        assert main(["analyze", "anova", "--plan", str(plan_path), "--log", str(log_path)]) == 1
+        assert capsys.readouterr() == ("", expected)
+
+    def test_anova_still_checks_replicates_of_a_plan_built_in_memory(self):
+        space = two_factor_space(2, 2)
+        plan = full_factorial(space, r=2, seed=0)
+        backend = TableBackend(lambda a, rep: rep)
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        first = plan.trials[0]
+        edited = dataclasses.replace(plan, trials=(first._replace(replicate=2),) + plan.trials[1:])
+        with pytest.raises(StatsError) as err:
+            anova(log, edited)
+        assert str(err.value) == f"anova: trial {first.config.id}/2 has a replicate outside 0..1"
 
 
 def oracle_two_factor(y):

@@ -541,3 +541,63 @@ def test_import_leaves_numpy_unloaded():
     code = "import sys, effattr, effattr.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+class TestParserReuse:
+    """Repeated ``main`` calls in one process share one parser, never a namespace."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Each namespace a subcommand receives, recorded before it runs."""
+        seen = []
+        for name in ("cmd_plan", "cmd_analyze"):
+
+            def record(args, real=getattr(cli, name)):
+                seen.append(vars(args).copy())
+                return real(args)
+
+            monkeypatch.setattr(cli, name, record)
+        return seen
+
+    def test_an_option_set_in_one_call_is_unset_in_the_next(self, ws, capsys, seen):
+        paired = ws["dir"] / "paired.json"
+        full = ws["dir"] / "full.json"
+        assert run_cli(
+            capsys, "plan", "paired", "--space", ws["space"], "--plan-out", paired,
+            "--n", 5, "--cui-a", "ht_off", "--cui-ref", "ht_on",
+        )[0] == 0
+        assert run_cli(capsys, "plan", "full", "--space", ws["space"], "--plan-out", full)[0] == 0
+        assert [(s["method"], s["n"], s["cui_a"]) for s in seen] == [("paired", 5, "ht_off"), ("full", None, None)]
+        assert load_plan(full).method == "full_factorial"
+        # Without --n, rct still asks for it.
+        code, _, err = run_cli(
+            capsys, "plan", "rct", "--space", ws["space"], "--plan-out", ws["dir"] / "rct.json",
+            "--control", "ht_on", "--treatment", "ht_off",
+        )
+        assert (code, err) == (1, "error: rct planning requires --n, --control and --treatment\n")
+
+    def test_raw_does_not_carry_over_to_the_next_call(self, ws, capsys, seen):
+        plan_path, log_path = ws["dir"] / "paired.json", ws["dir"] / "paired.jsonl"
+        assert run_cli(
+            capsys, "plan", "paired", "--space", ws["space"], "--plan-out", plan_path,
+            "--n", 5, "--cui-a", "ht_off", "--cui-ref", "ht_on",
+        )[0] == 0
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")[0] == 0
+        analyze = ("analyze", "effect", "--plan", plan_path, "--log", log_path)
+        raw, plain = run_cli(capsys, *analyze, "--raw"), run_cli(capsys, *analyze)
+        assert [s["raw"] for s in seen[1:]] == [True, False]
+        assert raw[1].startswith("delta_e=2.0 verdict=")
+        assert plain[1].startswith("delta_e=2.000000 verdict=")
+
+    def test_a_subcommand_replaced_after_a_call_is_the_one_called(self, ws, capsys, monkeypatch):
+        assert run_cli(capsys, "space", "size", ws["space"])[0] == 0
+        monkeypatch.setattr(cli, "cmd_space", lambda args: 3)
+        assert run_cli(capsys, "space", "size", ws["space"]) == (3, "", "")
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import effattr.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0"

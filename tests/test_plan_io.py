@@ -167,6 +167,8 @@ def test_loader_rejects_what_the_writer_cannot_write(field, value):
     "path, value, message",
     [
         (("trials", 1, "replicate"), 0.9, "trials[1].replicate: must be an integer, got 0.9"),
+        (("trials", 1, "replicate"), 10**30, f"trials[1].replicate: must be in 0..0, got {10**30}"),
+        (("trials", 1, "replicate"), -1, "trials[1].replicate: must be in 0..0, got -1"),
         (("trials", 1, "seed"), True, "trials[1].seed: must be an integer, got True"),
         (("r",), "1", "r: must be an integer, got '1'"),
         (("r",), 0, "r: must be >= 1, got 0"),
@@ -178,8 +180,8 @@ def test_loader_rejects_what_the_writer_cannot_write(field, value):
     ],
 )
 def test_loader_names_the_mistyped_field_instead_of_coercing_it(path, value, message, tmp_path, capsys):
-    # Each of the first seven once loaded: replicate 0, seed 1, r 1, r 0, r -1, master
-    # seed 7, method 5.
+    # Each of the first nine once loaded: replicate 0, 10**30 and -1, seed 1, r 1,
+    # r 0, r -1, master seed 7, method 5.
     doc = json.loads(plan_to_json(BUILDERS["paired"](load_space(SPACE), 1)))
     *outer, key = path
     target = doc

@@ -383,3 +383,25 @@ def test_budget_checked_before_first_yield(paper_scale_space):
     stream = paper_scale_space.enumerate_configs(roles=("DC",), budget=17_999)
     with pytest.raises(SpaceError, match="budget exceeded"):
         next(stream)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_valid_matches_the_per_factor_oracle(data):
+    doc = data.draw(exclusion_heavy_spaces())
+    try:
+        space = load_space(json.dumps(doc))
+    except SpaceError:
+        return
+    labels = {f["name"]: [lv["label"] for lv in f["levels"]] for f in doc["factors"]}
+    # Often start from an exclusion, so that matches are common; then any
+    # subset of the factors with a listed or unlisted label, and keys that
+    # are no factor of the space.
+    assignment = dict(data.draw(st.sampled_from([{}, *space.exclusions])))
+    for name in data.draw(st.lists(st.sampled_from(sorted(labels)), unique=True)):
+        assignment[name] = data.draw(st.sampled_from([*labels[name], "unlisted"]))
+    for name in data.draw(st.lists(st.sampled_from(sorted(labels)), unique=True)):
+        assignment.pop(name, None)
+    assignment.update(data.draw(st.dictionaries(st.sampled_from(["extra", "w0"]), st.sampled_from(["w0", "x"]))))
+    oracle = not any(all(assignment.get(f) == lab for f, lab in e.items()) for e in space.exclusions)
+    assert space.is_valid(assignment) == oracle
