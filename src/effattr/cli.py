@@ -103,7 +103,7 @@ def render_anova(table: stats.AnovaTable, fmt: str, raw: bool = False) -> str:
     ]
     err = table.error_row
     rows.append(["errors", _fmt(err.ss, raw), str(err.df), _fmt(err.pct, raw), "", "", ""])
-    return _table(header, rows, "csv" if fmt == "csv" else "markdown")
+    return _table(header, rows, fmt)
 
 
 def render_accuracy(rows: Sequence[meta.AccuracyRow], truth: float, fmt: str, raw: bool = False) -> str:
@@ -148,19 +148,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.method == "full":
         plan = design.full_factorial(space, r=args.r, seed=args.seed, budget=args.budget)
     elif args.method == "2kr":
-        if not args.split:
-            raise design.PlanError("2kr planning requires --split")
         split = parse_json(args.split, design.PlanError, "--split")
         plan = design.factorial_2kr(space, split, r=args.r, seed=args.seed, stratify=args.stratify)
     elif args.method == "rct":
-        if args.n is None or not args.control or not args.treatment:
-            raise design.PlanError("rct planning requires --n, --control and --treatment")
         plan = design.rct_plan(
             space, args.control, args.treatment, n=args.n, r=args.r, seed=args.seed
         )
-    elif args.method == "paired":
-        if args.n is None or not args.cui_a or not args.cui_ref:
-            raise design.PlanError("paired planning requires --n, --cui-a and --cui-ref")
+    else:
         if args.stratify:
             dc = design.stratified_sample(space, args.stratify, args.n, args.seed)
         else:
@@ -168,8 +162,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         plan = design.paired_plan(
             space, args.cui_a, args.cui_ref, dc, r=args.r, seed=args.seed, stratum=args.stratify
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise design.PlanError(f"unknown method {args.method!r}")
     design.save_plan(plan, args.plan_out)
     _emit(f"configs={plan.n_configs} trials={len(plan.trials)} cost={plan.cost}\n", args.out)
     return EXIT_OK
@@ -225,35 +217,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     log = runner.RunLog.load(args.log)
     log.close()
     runner.check_log(log, plan)
-    fmt = args.format or "plain"
     if args.what == "anova":
         table = stats.anova(log, plan, alpha=args.alpha)
-        _emit(render_anova(table, fmt, raw=args.raw), args.out)
+        _emit(render_anova(table, args.format, raw=args.raw), args.out)
         return EXIT_OK
-    weights = None
-    if args.weights:
-        doc = parse_json(Path(args.weights).read_text(encoding="utf-8"), stats.StatsError, "--weights")
-        weights = read({"--weights": doc}, _WEIGHTS, stats.StatsError)[0]
-    if args.what == "ttest":
-        sample = stats.paired_diffs(log, plan, aggregate=args.aggregate)
-        est = stats.one_sample_ttest(sample, mu0=args.mu0, alpha=args.alpha)
-    elif plan.method == "paired":
+    if plan.method == "paired":
+        weights = None
+        if args.weights is not None:
+            if args.average != "weighted":
+                raise stats.StatsError("--weights applies only with --average weighted")
+            doc = parse_json(Path(args.weights).read_text(encoding="utf-8"), stats.StatsError, "--weights")
+            weights = read({"--weights": doc}, _WEIGHTS, stats.StatsError)[0]
         est = stats.paired_effect(
             log,
             plan,
-            average_kind=args.average,
+            average_kind=args.average or "arithmetic",
             weights=weights,
             mu0=args.mu0,
             alpha=args.alpha,
             aggregate=args.aggregate,
         )
     elif plan.method == "rct":
+        for option, value in (("--average", args.average), ("--weights", args.weights)):
+            if value is not None:
+                raise stats.StatsError(f"{option} does not apply to an rct plan")
         est = stats.ate(log, plan, alpha=args.alpha, mu0=args.mu0, aggregate=args.aggregate)
     else:
         raise stats.StatsError(
             f"effect analysis supports paired and rct plans, got {plan.method!r}"
         )
-    _emit(render_estimate(est, fmt, raw=args.raw), args.out)
+    _emit(render_estimate(est, args.format, raw=args.raw), args.out)
     return EXIT_OK
 
 
@@ -264,8 +257,7 @@ def cmd_meta(args: argparse.Namespace) -> int:
     _diag(f"ground truth: {truth!r}")
     for row in rows:
         _diag(f"{row.method}: mean ci width {row.mean_ci_width!r}")
-    fmt = args.format or "csv"
-    _emit(render_accuracy(rows, truth, fmt, raw=args.raw), args.out)
+    _emit(render_accuracy(rows, truth, args.format, raw=args.raw), args.out)
     return EXIT_OK
 
 
@@ -275,41 +267,45 @@ def cmd_meta(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: each parse returns a fresh
-    namespace, and ``main`` looks the subcommand up by name on every call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for all randomized steps")
-    common.add_argument("--alpha", type=float, default=0.01, help="significance level")
-    common.add_argument("--format", choices=("csv", "markdown", "plain"), default=None)
-    common.add_argument("--out", default=None, help="write data to this path instead of stdout")
-    common.add_argument("--raw", action="store_true", help="full float precision instead of 6 decimals")
+    namespace, and ``main`` looks the subcommand up by name on every call.
+    Each subcommand, plan method and analysis kind takes exactly the options
+    its ``cmd_*`` branch reads."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write data to this path instead of stdout")
+
+    def report(p: argparse.ArgumentParser, formats: tuple[str, ...], default: str) -> None:
+        p.add_argument("--format", choices=formats, default=default, help=f"default {default}")
+        p.add_argument("--raw", action="store_true", help="full float precision instead of 6 decimals")
 
     parser = argparse.ArgumentParser(prog="effattr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_space = sub.add_parser("space", parents=[common], help="validate a space or report cardinalities")
+    p_space = sub.add_parser("space", parents=[out], help="validate a space or report cardinalities")
     p_space.add_argument("action", choices=("validate", "size"))
     p_space.add_argument("space")
 
-    p_plan = sub.add_parser("plan", parents=[common], help="emit a design plan")
-    p_plan.add_argument("method", choices=("full", "2kr", "rct", "paired"))
-    p_plan.add_argument("--space", required=True)
-    p_plan.add_argument("--plan-out", required=True, help="path for the plan document")
-    p_plan.add_argument("--r", type=int, default=1, help="replicates per configuration")
-    p_plan.add_argument("--n", type=int, default=None, help="sample size (rct, paired)")
-    p_plan.add_argument(
-        "--budget",
-        type=int,
-        default=design.DEFAULT_TRIAL_BUDGET,
-        help="most trials a full plan may have (plan full only; the other methods ignore it)",
-    )
-    p_plan.add_argument("--split", default=None, help="2kr low/high blocks as JSON")
-    p_plan.add_argument("--stratify", default=None, help="stratum factor name")
-    p_plan.add_argument("--control", default=None, help="rct control CUI level")
-    p_plan.add_argument("--treatment", default=None, help="rct treatment CUI level")
-    p_plan.add_argument("--cui-a", default=None, help="paired investigated CUI level")
-    p_plan.add_argument("--cui-ref", default=None, help="paired reference CUI level")
+    plan_opts = argparse.ArgumentParser(add_help=False, parents=[out])
+    plan_opts.add_argument("--space", required=True)
+    plan_opts.add_argument("--plan-out", required=True, help="path for the plan document")
+    plan_opts.add_argument("--r", type=int, default=1, help="replicates per configuration")
+    plan_opts.add_argument("--seed", type=int, default=0, help="master seed for all randomized steps")
+    methods = sub.add_parser("plan", help="emit a design plan").add_subparsers(dest="method", required=True)
+    p = methods.add_parser("full", parents=[plan_opts], help="full factorial over the space")
+    p.add_argument("--budget", type=int, default=design.DEFAULT_TRIAL_BUDGET, help="most trials the plan may have")
+    p = methods.add_parser("2kr", parents=[plan_opts], help="2^k r factorial over low/high blocks")
+    p.add_argument("--split", required=True, help="low/high blocks as JSON")
+    p.add_argument("--stratify", default=None, help="stratum factor name")
+    p = methods.add_parser("rct", parents=[plan_opts], help="randomized controlled trial")
+    p.add_argument("--n", type=int, required=True, help="sample size")
+    p.add_argument("--control", required=True, help="control CUI level")
+    p.add_argument("--treatment", required=True, help="treatment CUI level")
+    p = methods.add_parser("paired", parents=[plan_opts], help="paired comparison of two CUI levels")
+    p.add_argument("--n", type=int, required=True, help="sample size")
+    p.add_argument("--cui-a", required=True, help="investigated CUI level")
+    p.add_argument("--cui-ref", required=True, help="reference CUI level")
+    p.add_argument("--stratify", default=None, help="stratum factor name")
 
-    p_run = sub.add_parser("run", parents=[common], help="execute a plan against a backend")
+    p_run = sub.add_parser("run", parents=[out], help="execute a plan against a backend")
     p_run.add_argument("--plan", required=True)
     p_run.add_argument("--log", required=True)
     p_run.add_argument("--backend", required=True, help="synthetic:<model.json> or external:<template>")
@@ -326,17 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--unit", default="seconds", help="measurement unit (external backend)")
     p_run.add_argument("--timeout", type=float, default=None, help="per-trial timeout in seconds")
 
-    p_an = sub.add_parser("analyze", parents=[common], help="analyze a run log")
-    p_an.add_argument("what", choices=("effect", "ttest", "anova"))
-    p_an.add_argument("--log", required=True)
-    p_an.add_argument("--plan", required=True)
-    p_an.add_argument("--average", choices=stats.AVERAGE_KINDS, default="arithmetic")
-    p_an.add_argument("--weights", default=None, help="JSON array of per-pair weights")
-    p_an.add_argument("--mu0", type=float, default=0.0)
-    p_an.add_argument("--aggregate", choices=runner.AGGREGATE_METHODS, default="median")
+    analysis_opts = argparse.ArgumentParser(add_help=False, parents=[out])
+    analysis_opts.add_argument("--log", required=True)
+    analysis_opts.add_argument("--plan", required=True)
+    analysis_opts.add_argument("--alpha", type=float, default=0.01, help="significance level")
+    kinds = sub.add_parser("analyze", help="analyze a run log").add_subparsers(dest="what", required=True)
+    p = kinds.add_parser("effect", parents=[analysis_opts], help="effect of a paired or rct plan")
+    report(p, ("csv", "markdown", "plain"), "plain")
+    p.add_argument("--average", choices=stats.AVERAGE_KINDS, default=None, help="paired plans only; default arithmetic")
+    p.add_argument("--weights", default=None, help="JSON array of per-pair weights (--average weighted)")
+    p.add_argument("--mu0", type=float, default=0.0)
+    p.add_argument("--aggregate", choices=runner.AGGREGATE_METHODS, default="median")
+    p = kinds.add_parser("anova", parents=[analysis_opts], help="n-way ANOVA of a full plan")
+    report(p, ("csv", "markdown"), "markdown")
 
-    p_meta = sub.add_parser("meta", parents=[common], help="accuracy/cost meta-evaluation")
+    p_meta = sub.add_parser("meta", parents=[out], help="accuracy/cost meta-evaluation")
     p_meta.add_argument("--scenario", required=True)
+    report(p_meta, ("csv", "markdown"), "csv")
 
     return parser
 

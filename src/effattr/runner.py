@@ -363,7 +363,6 @@ class ExternalBackend(Backend):
 
 @dataclass(frozen=True)
 class RunReport:
-    log: RunLog
     executed: int
     skipped: int
     failed: int
@@ -426,7 +425,7 @@ def run(
                 failed += 1
             log.append(m)
     log.flush()
-    return RunReport(log=log, executed=len(todo), skipped=skipped, failed=failed)
+    return RunReport(executed=len(todo), skipped=skipped, failed=failed)
 
 
 # -- aggregation -------------------------------------------------------------

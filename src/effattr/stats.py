@@ -30,7 +30,7 @@ AVERAGE_KINDS = ("arithmetic", "weighted", "geometric")
 _ANOVA_MAX_FACTORS = 6
 
 # Below this distance from 1, a quantile's beta variate is inverted on its
-# complementary side (see t_quantile).
+# complementary side (see f_quantile).
 _TAIL_SIDE = 1e-3
 
 
@@ -71,14 +71,8 @@ def t_quantile(alpha_tail: float, df: float) -> float:
         raise StatsError(f"t_quantile: tail probability must be in (0, 0.5), got {alpha_tail}")
     if df < 1:
         raise StatsError(f"t_quantile: df must be >= 1, got {df}")
-    # u = t^2 / (df + t^2) satisfies I_u(1/2, df/2) = 1 - 2*tail; inverting on
-    # the u side keeps full precision for large df. Near u = 1, 1 - u cancels,
-    # so it is taken from the complementary inverse I_{1-u}(df/2, 1/2) = 2*tail.
-    u = betainc_inv(0.5, df / 2.0, 1.0 - 2.0 * alpha_tail)
-    if 1.0 - u < _TAIL_SIDE:
-        v = betainc_inv(df / 2.0, 0.5, 2.0 * alpha_tail)
-        return math.sqrt(df * (1.0 - v) / v)
-    return math.sqrt(df * u / (1.0 - u))
+    # T^2 ~ F(1, df), so P(T > t) = tail exactly when P(F > t^2) = 2 * tail.
+    return math.sqrt(f_quantile(2.0 * alpha_tail, 1, df))
 
 
 @lru_cache(maxsize=4096)
@@ -88,8 +82,11 @@ def f_quantile(alpha: float, df1: float, df2: float) -> float:
         raise StatsError(f"f_quantile: alpha must be in (0, 1), got {alpha}")
     if df1 < 1 or df2 < 1:
         raise StatsError(f"f_quantile: degrees of freedom must be >= 1, got ({df1}, {df2})")
+    # w = df1 f / (df2 + df1 f) satisfies I_w(df1/2, df2/2) = 1 - alpha; inverting
+    # on the w side keeps full precision for large df2. Near w = 1, 1 - w cancels,
+    # so it is taken from the complementary inverse I_{1-w}(df2/2, df1/2) = alpha.
     w = betainc_inv(df1 / 2.0, df2 / 2.0, 1.0 - alpha)
-    if 1.0 - w < _TAIL_SIDE:  # as in t_quantile: I_{1-w}(df2/2, df1/2) = alpha
+    if 1.0 - w < _TAIL_SIDE:
         v = betainc_inv(df2 / 2.0, df1 / 2.0, alpha)
         return df2 * (1.0 - v) / (df1 * v)
     return df2 * w / (df1 * (1.0 - w))
@@ -104,8 +101,6 @@ class DiffSample:
 
     diffs: tuple[float, ...]
     unit: str = "units"
-    cui_a: str = "a"
-    cui_ref: str = "ref"
 
 
 @dataclass(frozen=True)
@@ -238,12 +233,7 @@ def paired_diffs(log: RunLog, plan: DesignPlan, aggregate: str = "median") -> Di
     values = _plan_values(log, plan, aggregate, _pair_arm)
     pair_ids = dict.fromkeys(pid for pid, _ in values)
     diffs = tuple(values[pid, ARM_A][0] - values[pid, ARM_REF][0] for pid in pair_ids)
-    return DiffSample(
-        diffs=diffs,
-        unit=log.header.unit,
-        cui_a=plan.metadata.get("cui_a", ARM_A),
-        cui_ref=plan.metadata.get("cui_ref", ARM_REF),
-    )
+    return DiffSample(diffs=diffs, unit=log.header.unit)
 
 
 def _average(diffs: Sequence[float], kind: str, weights: Sequence[float] | None) -> float:

@@ -402,6 +402,29 @@ class TestAnalyzeCommand:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("average", [[], ["--average", "arithmetic"], ["--average", "geometric"]])
+    def test_weights_without_a_weighted_average_are_rejected(self, ws, capsys, average):
+        plan_path, log_path = self.run_pipeline(ws, capsys)
+        weights_path = ws["dir"] / "weights.json"
+        weights_path.write_text(json.dumps([1, 2, 3, 4]))
+        code, out, err = run_cli(
+            capsys, "analyze", "effect", *average, "--weights", weights_path, "--log", log_path, "--plan", plan_path,
+        )
+        assert (code, out, err) == (1, "", "error: --weights applies only with --average weighted\n")
+
+    @pytest.mark.parametrize("option, value", [("--average", "weighted"), ("--average", "arithmetic"), ("--weights", "w.json")])
+    def test_paired_only_options_are_rejected_on_an_rct_plan(self, ws, capsys, option, value):
+        plan_path, log_path = ws["dir"] / "rct.json", ws["dir"] / "rct.jsonl"
+        assert run_cli(
+            capsys, "plan", "rct", "--space", ws["space"], "--plan-out", plan_path,
+            "--n", "4", "--r", "2", "--control", "ht_on", "--treatment", "ht_off",
+        )[0] == 0
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")[0] == 0
+        analyze = ("analyze", "effect", "--log", log_path, "--plan", plan_path)
+        assert run_cli(capsys, *analyze)[0] == 0
+        code, out, err = run_cli(capsys, *analyze, option, value)
+        assert (code, out, err) == (1, "", f"error: {option} does not apply to an rct plan\n")
+
     def test_bad_alpha_rejected(self, ws, capsys):
         plan_path, log_path = self.run_pipeline(ws, capsys)
         code, _, err = run_cli(
@@ -543,6 +566,65 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def accepted_options() -> dict[tuple[str, str | None], set[str]]:
+    """The long options each (subcommand, method/action/kind) accepts, ``--help`` aside."""
+
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+
+    accepted = {}
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.choices]
+    for command, parser in commands.items():
+        # plan and analyze branch to a parser per method or kind, space to an action of its own parser
+        (branch,) = [a.choices for a in parser._actions if a.choices and not a.option_strings] or [[None]]
+        for name in branch:
+            accepted[command, name] = options(branch[name] if isinstance(branch, dict) else parser)
+    return accepted
+
+
+_PLAN = {"--space", "--plan-out", "--r", "--seed", "--out"}
+_ANALYZE = {"--log", "--plan", "--alpha", "--format", "--raw", "--out"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    expected = {
+        ("space", "validate"): {"--out"},
+        ("space", "size"): {"--out"},
+        ("plan", "full"): _PLAN | {"--budget"},
+        ("plan", "2kr"): _PLAN | {"--split", "--stratify"},
+        ("plan", "rct"): _PLAN | {"--n", "--control", "--treatment"},
+        ("plan", "paired"): _PLAN | {"--n", "--cui-a", "--cui-ref", "--stratify"},
+        ("analyze", "effect"): _ANALYZE | {"--average", "--weights", "--mu0", "--aggregate"},
+        ("analyze", "anova"): _ANALYZE,
+    }
+    accepted = accepted_options()
+    run = accepted.pop(("run", None), None)
+    meta = accepted.pop(("meta", None), None)
+    assert accepted == expected
+    assert run == {"--plan", "--log", "--backend", "--space", "--parallelism", "--retry", "--unit", "--timeout", "--out"}
+    assert meta == {"--scenario", "--format", "--raw", "--out"}
+    assert sum(map(len, expected.values())) + len(run) + len(meta) == 61
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["meta", "--scenario", "s.json", "--alpha", "0.5"], "unrecognized arguments: --alpha 0.5"),
+        (["run", "--plan", "p.json", "--log", "l.jsonl", "--backend", "synthetic:m.json", "--seed", "5"],
+         "unrecognized arguments: --seed 5"),
+        (["plan", "rct", "--space", "s.json", "--plan-out", "p.json", "--n", "4", "--control", "a", "--treatment", "b",
+          "--stratify", "w"], "unrecognized arguments: --stratify w"),
+        (["plan", "full", "--space", "s.json", "--plan-out", "p.json", "--n", "4"], "unrecognized arguments: --n 4"),
+        (["analyze", "anova", "--plan", "p.json", "--log", "l.jsonl", "--mu0", "1"], "unrecognized arguments: --mu0 1"),
+        (["analyze", "ttest", "--plan", "p.json", "--log", "l.jsonl"], "invalid choice: 'ttest'"),
+    ],
+)
+def test_an_option_the_subcommand_does_not_read_exits_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 class TestParserReuse:
     """Repeated ``main`` calls in one process share one parser, never a namespace."""
 
@@ -567,14 +649,14 @@ class TestParserReuse:
             "--n", 5, "--cui-a", "ht_off", "--cui-ref", "ht_on",
         )[0] == 0
         assert run_cli(capsys, "plan", "full", "--space", ws["space"], "--plan-out", full)[0] == 0
-        assert [(s["method"], s["n"], s["cui_a"]) for s in seen] == [("paired", 5, "ht_off"), ("full", None, None)]
+        assert [(s["method"], s.get("n"), s.get("cui_a")) for s in seen] == [("paired", 5, "ht_off"), ("full", None, None)]
         assert load_plan(full).method == "full_factorial"
         # Without --n, rct still asks for it.
         code, _, err = run_cli(
             capsys, "plan", "rct", "--space", ws["space"], "--plan-out", ws["dir"] / "rct.json",
             "--control", "ht_on", "--treatment", "ht_off",
         )
-        assert (code, err) == (1, "error: rct planning requires --n, --control and --treatment\n")
+        assert code == 1 and "the following arguments are required: --n" in err
 
     def test_raw_does_not_carry_over_to_the_next_call(self, ws, capsys, seen):
         plan_path, log_path = ws["dir"] / "paired.json", ws["dir"] / "paired.jsonl"

@@ -26,6 +26,8 @@ from effattr import (
     simple_random_sample,
     t_statistic,
 )
+from effattr.special import betainc_inv
+from effattr.stats import f_quantile, t_quantile
 
 
 class TestScalars:
@@ -70,6 +72,25 @@ class TestScalars:
     def test_t_statistic_degenerate_rejected(self):
         with pytest.raises(StatsError, match="degenerate"):
             t_statistic(1.0, 0.0, 0.0, 10)
+
+
+def _t_side_quantile(tail: float, df: float) -> float:
+    """The t quantile inverted on the t side, I_u(1/2, df/2) = 1 - 2 * tail."""
+    u = betainc_inv(0.5, df / 2.0, 1.0 - 2.0 * tail)
+    if 1.0 - u < 1e-3:
+        v = betainc_inv(df / 2.0, 0.5, 2.0 * tail)
+        return math.sqrt(df * (1.0 - v) / v)
+    return math.sqrt(df * u / (1.0 - u))
+
+
+def test_t_quantile_is_the_root_of_the_f_quantile_bit_for_bit():
+    # t(df)^2 = F(1, df), so the t quantile is taken from f_quantile; it must
+    # equal the t-side inversion exactly, on both sides of the tail switch.
+    tails = (1e-7, 1e-5, 1e-3, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.4, 0.4999)
+    dfs = (1, 1.5, 2, 3, 4.5, 7, 10, 19, 30, 63, 100, 1e3, 1e4, 1e5)
+    bad = [(tail, df) for tail in tails for df in dfs if t_quantile(tail, df) != _t_side_quantile(tail, df)]
+    assert bad == []
+    assert t_quantile(0.025, 9) == math.sqrt(f_quantile(0.05, 1, 9))
 
 
 class TestOneSampleTTest:
