@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import design, meta, runner, stats
 from ._util import Kind, parse_json, read
@@ -181,11 +181,15 @@ def _make_backend(args: argparse.Namespace, plan: design.DesignPlan) -> runner.B
     if not sep:
         raise runner.RunError(f"backend spec must be 'synthetic:<model.json>' or 'external:<template>', got {spec!r}")
     if kind == "synthetic":
+        for option, value in (("--unit", args.unit), ("--timeout", args.timeout)):
+            if value is not None:
+                raise runner.RunError(f"{option} applies only to the external backend")
         return runner.SyntheticBackend(load_model_file(rest))
     if kind == "external":
         if space is None:
             raise runner.RunError("external backend requires --space to resolve level values")
-        return runner.ExternalBackend(rest, space, unit=args.unit, timeout=args.timeout)
+        unit = "seconds" if args.unit is None else args.unit
+        return runner.ExternalBackend(rest, space, unit=unit, timeout=args.timeout)
     raise runner.RunError(f"unknown backend kind {kind!r}")
 
 
@@ -264,6 +268,14 @@ def cmd_meta(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes options only as spelled in full; ``add_parser``
+    makes its subparsers of the same class."""
+
+    def __init__(self, **kwargs: Any):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: each parse returns a fresh
@@ -277,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default, help=f"default {default}")
         p.add_argument("--raw", action="store_true", help="full float precision instead of 6 decimals")
 
-    parser = argparse.ArgumentParser(prog="effattr", description=__doc__)
+    parser = _Parser(prog="effattr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_space = sub.add_parser("space", parents=[out], help="validate a space or report cardinalities")
@@ -319,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="trials at once in threads, which overlap external commands; synthetic trials run in the calling thread",
     )
     p_run.add_argument("--retry", type=int, default=0, help="in-run retries for failed trials")
-    p_run.add_argument("--unit", default="seconds", help="measurement unit (external backend)")
-    p_run.add_argument("--timeout", type=float, default=None, help="per-trial timeout in seconds")
+    p_run.add_argument("--unit", default=None, help="measurement unit (external backend; default seconds)")
+    p_run.add_argument("--timeout", type=float, default=None, help="per-trial timeout in seconds (external backend)")
 
     analysis_opts = argparse.ArgumentParser(add_help=False, parents=[out])
     analysis_opts.add_argument("--log", required=True)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -94,20 +95,21 @@ class DesignPlan:
 
         The head is the canonical JSON of the plan without its trials, cut
         before the empty list ("trials" sorts after every other key). Each
-        trial is its unit's prefix, encoded once for the unit's replicates,
-        then its replicate and seed.
+        trial is its unit's prefix, encoded once for the unit's replicates
+        from entries encoded once per plan, then its replicate and seed.
         """
         head = canonical_json(replace(self, trials=()).to_dict())
         h = hashlib.sha256(head[: -len("]}")].encode("ascii"))
         prefixes: dict[tuple[int, str | None, str, str | None], bytes] = {}
+        entries = _Entries("%s:%s")
         sep = b""
         for t in self.trials:
             unit = (id(t.config), t.arm, t.group, t.pair_id)  # the plan keeps each config alive
             prefix = prefixes.get(unit)
             if prefix is None:
                 j = json_scalar
-                entries = ",".join([f"{j(k)}:{j(v)}" for k, v in sorted(t.config.assignment.items())])
-                text = _TRIAL_HEAD % (j(t.arm), entries, j(t.group), j(t.pair_id))
+                block = ",".join([entries[kv] for kv in sorted(t.config.assignment.items())])
+                text = _TRIAL_HEAD % (j(t.arm), block, j(t.group), j(t.pair_id))
                 prefix = prefixes[unit] = text.encode("ascii")
             h.update(sep + prefix + b'%d,"seed":%d}' % (t.replicate, t.seed))
             sep = b","
@@ -117,6 +119,21 @@ class DesignPlan:
 
 # One trial's canonical JSON up to its replicate: keys sorted, no whitespace.
 _TRIAL_HEAD = '{"arm":%s,"assignment":{%s},"group":%s,"pair_id":%s,"replicate":'
+
+
+class _Entries(dict):
+    """Assignment entries ``(name, label)`` encoded through a ``"...%s...%s"``
+    format, each text entry once. Other labels are encoded on every lookup:
+    ``True``, ``1`` and ``1.0`` are equal keys that encode differently."""
+
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+
+    def __missing__(self, entry: tuple[Any, Any]) -> str:
+        text = self.fmt % (json_scalar(entry[0]), json_scalar(entry[1]))
+        if type(entry[0]) is str and type(entry[1]) is str:
+            self[entry] = text
+        return text
 
 
 def plan_digest(plan: DesignPlan) -> str:
@@ -135,19 +152,21 @@ def plan_to_json(plan: DesignPlan) -> str:
     """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``.
 
     Everything but the trials goes through ``json.dumps``. Trials have a
-    fixed key set, so each is a template filled with C-encoded strings, and
-    a configuration's assignment block is encoded once for all its trials.
+    fixed key set, so each is a template filled with C-encoded strings; a
+    configuration's assignment block is built once for all its trials, and
+    each entry once per plan.
     """
     head = json.dumps(replace(plan, trials=()).to_dict(), sort_keys=True, indent=1)
     if not plan.trials:
         return head
     blocks: dict[int, str] = {}  # by Configuration object, which replicates share
+    entries = _Entries("    %s: %s")
     parts = []
     for t in plan.trials:
         block = blocks.get(id(t.config))
         if block is None:
-            entries = [f"    {json_scalar(k)}: {json_scalar(v)}" for k, v in sorted(t.config.assignment.items())]
-            block = blocks[id(t.config)] = "{\n" + ",\n".join(entries) + "\n   }" if entries else "{}"
+            lines = [entries[kv] for kv in sorted(t.config.assignment.items())]
+            block = blocks[id(t.config)] = "{\n" + ",\n".join(lines) + "\n   }" if lines else "{}"
         parts.append(
             _TRIAL_JSON
             % (json_scalar(t.arm), block, json_scalar(t.group), json_scalar(t.pair_id), t.replicate, t.seed)
@@ -188,6 +207,9 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
         read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
     # One Configuration, and one id, per distinct assignment.
     configs: dict[tuple[tuple[str, str], ...], Configuration] = {}
+    # Each trial is one replicate of its unit (configuration, group, pair id,
+    # arm), by which it is kept here; every unit needs replicates 0..r-1.
+    trial_at: dict[tuple[tuple[str, str, str | None, str | None], int], int] = {}
     trials = []
     for i, t in enumerate(raw_trials):
         assignment, replicate, group, pair_id, arm, seed = read(t, _TRIAL, _malformed, ("trials", i))
@@ -201,7 +223,16 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
         if config is None:
             read({"assignment": assignment}, _ASSIGNMENT, _malformed, ("trials", i))
             config = configs[key] = Configuration(assignment)
+        at = trial_at.setdefault(((config.id, group, pair_id, arm), replicate), i)
+        if at != i:
+            raise _malformed(f"trials[{i}]: repeats trials[{at}], replicate {replicate} of the same unit")
         trials.append(Trial(config, replicate, group, pair_id, arm, seed))
+    # No replicate repeats or lies outside 0..r-1, so every unit is whole iff
+    # there are r trials per unit.
+    sizes = Counter(unit for unit, _ in trial_at)
+    if len(trial_at) != r * len(sizes):
+        short, first = next((unit, i) for (unit, _), i in trial_at.items() if sizes[unit] < r)
+        raise _malformed(f"trials[{first}]: its unit has {sizes[short]} of the replicates 0..{r - 1}")
     return DesignPlan(method, tuple(trials), r, master_seed, space_digest, dict(metadata))
 
 

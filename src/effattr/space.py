@@ -153,89 +153,88 @@ def _check_budget(size: int, budget: int) -> None:
 
 
 class _Walk:
-    """The valid configurations over ``factors`` as a pruned depth-first walk.
+    """The valid configurations over ``factors``, counted in one forward pass.
 
-    Factors are assigned in declared order and levels in level order, so
-    the leaves come in the lexicographic order of the full product. The
-    state after a prefix is the bit set of exclusions that have started
-    (one of their factors is assigned) and still match it; a prefix that
-    completes an exclusion is pruned. Valid completions are counted once
-    per (depth, state), so the cost is bounded by the number of distinct
-    states, which at any depth never exceeds the grid of the factors that
-    the exclusions mention, whatever the number of exclusions.
+    Factors are assigned in declared order and levels in level order. The
+    state after a prefix is the bit set of exclusions that have started (one
+    of their factors is assigned) and still match it; a prefix that completes
+    an exclusion is pruned. ``layers[d]`` maps each state reachable at depth
+    ``d`` to the number of valid prefixes that reach it, so the cost is
+    bounded by the number of distinct states, which never exceeds the grid
+    of the factors that the exclusions mention, whatever their number.
     """
 
     def __init__(self, factors: Sequence[Factor], exclusions: Sequence[Mapping[str, str]]):
         self.names = tuple(f.name for f in factors)
-        self.level_weights = [f.normalized_weights() for f in factors]
         depth_of = {name: d for d, name in enumerate(self.names)}
-        # Per depth, the exclusions whose first factor it is; per level,
-        # [label, bits it kills, bits it completes, bits it starts].
-        opening = [0] * len(factors)
-        moves = [[[lv.label, 0, 0, 0] for lv in f.levels] for f in factors]
-        for i, excl in enumerate(exclusions):
+        # A level that an exclusion of one factor names is never assigned.
+        dropped = {item for excl in exclusions if len(excl) == 1 for item in excl.items()}
+        # Per depth and kept level: [label, bits it keeps, bits it completes,
+        # bits it starts, normalized weight].
+        self.moves = [
+            [[lv.label, -1, 0, 0, w] for lv, w in zip(f.levels, f.normalized_weights().values())
+             if (f.name, lv.label) not in dropped]
+            for f in factors
+        ]
+        for i, excl in enumerate(e for e in exclusions if len(e) > 1):
             bit = 1 << i
             depths = sorted(depth_of[name] for name in excl)
-            opening[depths[0]] |= bit
             for name, label in excl.items():
                 d = depth_of[name]
-                for move in moves[d]:
+                for move in self.moves[d]:
                     if move[0] != label:
-                        move[1] |= bit
+                        move[1] &= ~bit
                     elif d == depths[-1]:
                         move[2] |= bit
                     elif d == depths[0]:
                         move[3] |= bit
-        # Forward: the (label, next state) edges out of every reachable state.
-        self.edges: list[dict[int, list[tuple[str, int]]]] = []
-        states = {0}
-        for d, level_moves in enumerate(moves):
-            layer = {}
-            for state in states:
-                live = state | opening[d]
-                layer[state] = [
-                    (label, (state & ~kills) | starts)
-                    for label, kills, completes, starts in level_moves
-                    if not completes & live
-                ]
-            self.edges.append(layer)
-            states = {nxt for out in layer.values() for _, nxt in out}
-        # Backward: valid completions per state; edges into none are dropped,
-        # so every prefix the leaves walk through ends in a leaf.
-        counts = dict.fromkeys(states, 1)
-        for layer in reversed(self.edges):
-            for out in layer.values():
-                out[:] = [edge for edge in out if counts[edge[1]]]
-            counts = {state: sum(counts[nxt] for _, nxt in out) for state, out in layer.items()}
-        self.count: int = counts[0]
+        layer = {0: 1}
+        self.layers = [layer]
+        for level_moves in self.moves:
+            reached: dict[int, int] = {}
+            for state, n in layer.items():
+                for _, keep, completes, starts, _ in level_moves:
+                    if not completes & state:
+                        nxt = (state & keep) | starts
+                        reached[nxt] = reached.get(nxt, 0) + n
+            layer = reached
+            self.layers.append(layer)
+        self.count: int = sum(layer.values())
 
-    def leaves(self) -> Iterator[tuple[str, ...]]:
-        """Label tuples of the valid configurations, in walk order."""
-        depth = len(self.edges)
-        if not depth:
-            yield ()
-            return
-        path: list[str] = []
-        stack = [iter(self.edges[0][0])]
-        while stack:
-            edge = next(stack[-1], None)
-            if edge is None:
-                stack.pop()
-                if path:
-                    path.pop()
-            elif len(stack) == depth:
-                yield (*path, edge[0])
-            else:
-                path.append(edge[0])
-                stack.append(iter(self.edges[len(stack)][edge[1]]))
+    def expand(self) -> Iterator[tuple[list[tuple[str, ...]], list[float]]]:
+        """The valid prefixes and their weights, depth by depth, in walk order.
+
+        A backward pass first keeps only the edges into states that can
+        still be completed, so no dead prefix is expanded. Weights are
+        multiplied in factor order from 1, as ``math.prod`` does: samples
+        depend on their exact bits.
+        """
+        edges: list[dict[int, list[tuple[str, float, int]]]] = []
+        live = self.layers[-1]
+        for layer, level_moves in zip(reversed(self.layers[:-1]), reversed(self.moves)):
+            out = {}
+            for state in layer:
+                into = [(label, weight, nxt) for label, keep, completes, starts, weight in level_moves
+                        if not completes & state and (nxt := (state & keep) | starts) in live]
+                if into:
+                    out[state] = into
+            edges.append(out)
+            live = out
+        rows, weights, states = ([()], [1], [0]) if self.count else ([], [], [])
+        yield rows, weights
+        for out in reversed(edges):
+            children = [out[state] for state in states]
+            rows = [(*row, label) for row, into in zip(rows, children) for label, _, _ in into]
+            weights = [w * weight for w, into in zip(weights, children) for _, weight, _ in into]
+            states = [nxt for into in children for _, _, nxt in into]
+            yield rows, weights
 
     @cached_property
     def pool(self) -> ConfigPool:
-        """The leaves as pool rows, built on first use. Weights are multiplied in
-        factor order from 1: samples depend on their exact bits."""
-        rows = tuple(self.leaves())
-        weights = tuple(math.prod(map(dict.__getitem__, self.level_weights, row)) for row in rows)
-        return ConfigPool(self.names, rows, weights)
+        """The last layer of ``expand`` as pool rows, built on first use."""
+        for rows, weights in self.expand():
+            pass
+        return ConfigPool(self.names, tuple(rows), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ class ConfigSpace:
         """Valid configurations in lexicographic (factor order, level order) order."""
         walk = self._walk(roles)
         _check_budget(walk.count, budget)
-        for labels in walk.leaves():
+        for labels in walk.pool.rows:
             yield Configuration(dict(zip(walk.names, labels)))
 
     def _walk(self, roles: Iterable[str]) -> _Walk:
@@ -333,7 +332,7 @@ class ConfigSpace:
     ) -> ConfigPool:
         """The valid configurations over ``roles`` with their product weights.
 
-        Taken from the walk's leaves on first use for a role set and kept
+        Expanded from the walk on first use for a role set and kept
         with the walk; the budget is checked on every call, before that.
         """
         walk = self._walk(roles)

@@ -183,6 +183,21 @@ class TestPlanCommand:
         assert logged == {(t.config.id, t.replicate) for t in plan.trials}
 
 
+# Paired plans with r 2 list their trials pair by pair, replicates in order,
+# arms adjacent: trial 0 is the first pair's arm a at replicate 0. Dropping it
+# once moved delta_e from 7.611048 to 7.661716 on the bundled space.
+UNIT_EDITS = [
+    (lambda trials: trials.pop(0), "trials[1]: its unit has 1 of the replicates 0..1"),
+    (lambda trials: trials.insert(1, trials[0]), "trials[1]: repeats trials[0], replicate 0 of the same unit"),
+]
+
+
+def edit_plan(plan_path, edit):
+    doc = json.loads(plan_path.read_text())
+    edit(doc["trials"])
+    plan_path.write_text(json.dumps(doc))
+
+
 class TestRunCommand:
     def plan(self, ws, capsys, r="2"):
         plan_path = ws["dir"] / "plan.json"
@@ -347,6 +362,25 @@ class TestRunCommand:
         assert not log_path.exists()
 
 
+    @pytest.mark.parametrize("option, value", [("--unit", "ms"), ("--timeout", "0.000001")])
+    def test_external_only_options_are_rejected_with_a_synthetic_backend(self, ws, capsys, option, value):
+        # Each once ran with exit 0, and the log said "unit": "seconds".
+        plan_path, log_path = self.plan(ws, capsys), ws["dir"] / "log.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}", option, value
+        )
+        assert (code, out, err) == (1, "", f"error: {option} applies only to the external backend\n")
+        assert not log_path.exists()
+
+    @pytest.mark.parametrize("edit, message", UNIT_EDITS)
+    def test_a_plan_with_a_broken_unit_is_rejected_before_the_log(self, ws, capsys, edit, message):
+        plan_path, log_path = self.plan(ws, capsys), ws["dir"] / "log.jsonl"
+        edit_plan(plan_path, edit)
+        code, out, err = run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")
+        assert (code, out, err) == (1, "", f"error: malformed plan document: {message}\n")
+        assert not log_path.exists()
+
+
 class TestAnalyzeCommand:
     def run_pipeline(self, ws, capsys, cui_a="ht_off"):
         plan_path = ws["dir"] / "an_plan.json"
@@ -424,6 +458,15 @@ class TestAnalyzeCommand:
         assert run_cli(capsys, *analyze)[0] == 0
         code, out, err = run_cli(capsys, *analyze, option, value)
         assert (code, out, err) == (1, "", f"error: {option} does not apply to an rct plan\n")
+
+    @pytest.mark.parametrize("edit, message", UNIT_EDITS)
+    def test_a_plan_with_a_broken_unit_is_rejected(self, ws, capsys, edit, message):
+        plan_path, log_path = self.run_pipeline(ws, capsys)
+        logged = log_path.read_bytes()
+        edit_plan(plan_path, edit)
+        code, out, err = run_cli(capsys, "analyze", "effect", "--log", log_path, "--plan", plan_path)
+        assert (code, out, err) == (1, "", f"error: malformed plan document: {message}\n")
+        assert log_path.read_bytes() == logged
 
     def test_bad_alpha_rejected(self, ws, capsys):
         plan_path, log_path = self.run_pipeline(ws, capsys)
@@ -623,6 +666,26 @@ def test_an_option_the_subcommand_does_not_read_exits_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "paired", "--space", "s.json", "--plan-out", "p.json", "--n", "4", "--cui-a", "a", "--cui-ref", "b",
+         "--cui-r", "b"],
+        ["plan", "paired", "--space", "s.json", "--plan-out", "p.json", "--n", "4", "--cui-a", "a", "--cui-ref", "b",
+         "--se", "1"],
+        ["plan", "paired", "--space", "s.json", "--plan-out", "p.json", "--n", "4", "--cui-a", "a", "--cui-ref", "b",
+         "--st", "workload"],
+        ["analyze", "effect", "--plan", "p.json", "--log", "l.jsonl", "--ave", "geometric"],
+        ["analyze", "effect", "--plan", "p.json", "--log", "l.jsonl", "--al", "0.05"],
+    ],
+)
+def test_an_abbreviated_option_exits_1(capsys, argv):
+    # Each once ran as if spelled in full.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 class TestParserReuse:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import effattr.space as space_module
 from effattr import (
+    Configuration,
     PlanError,
     factorial_2kr,
     full_factorial,
@@ -26,7 +27,7 @@ from effattr import (
 )
 from effattr._util import digest
 from effattr.cli import main
-from effattr.design import plan_digest, plan_from_json, plan_to_json
+from effattr.design import DesignPlan, Trial, plan_digest, plan_from_json, plan_to_json
 from conftest import space_doc
 
 
@@ -149,6 +150,42 @@ def test_writer_equals_oracle_on_odd_names_and_labels(factors, r, seed):
         text = plan_to_json(plan)
         assert text == oracle(plan)
         assert_round_trip(plan, text)
+
+
+def test_equal_labels_of_different_types_are_encoded_apart():
+    # True == 1 == 1.0 as dict keys, yet JSON spells them true, 1 and 1.0;
+    # every factor takes each of them, and "1", in one configuration or another.
+    labels = [True, 1, 1.0, "1"]
+    configs = [Configuration({f: labels[(i + j) % 4] for j, f in enumerate("abcd")}) for i in range(4)]
+    plan = DesignPlan("full_factorial", tuple(Trial(c, 0, seed=i) for i, c in enumerate(configs)), 1, 7, "0" * 64)
+    assert plan_to_json(plan) == oracle(plan)
+    assert plan_digest(plan) == digest(plan.to_dict())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda trials: trials.pop(0), "trials[1]: its unit has 2 of the replicates 0..2"),
+        (lambda trials: trials.insert(1, trials[0]), "trials[1]: repeats trials[0], replicate 0 of the same unit"),
+        (lambda trials: trials.append(trials[1]), "trials[36]: repeats trials[1], replicate 0 of the same unit"),
+        (lambda trials: trials.__delitem__(slice(-2, None)), "trials[30]: its unit has 2 of the replicates 0..2"),
+        (lambda trials: trials[0].update(pair_id="other"), "trials[0]: its unit has 1 of the replicates 0..2"),
+    ],
+)
+def test_loader_rejects_a_unit_without_each_replicate_once(edit, message):
+    # Paired, r 3: the trials go pair by pair, replicates in order, arms adjacent.
+    doc = json.loads(plan_to_json(BUILDERS["paired"](load_space(SPACE), 3)))
+    edit(doc["trials"])
+    with pytest.raises(PlanError) as caught:
+        plan_from_json(json.dumps(doc))
+    assert str(caught.value) == f"malformed plan document: {message}"
+
+
+def test_loader_accepts_a_unit_with_its_replicates_in_any_order():
+    plan = BUILDERS["full"](load_space(SPACE), 3)
+    doc = json.loads(plan_to_json(plan))
+    doc["trials"].reverse()
+    assert plan_from_json(json.dumps(doc)).to_dict()["trials"] == plan.to_dict()["trials"][::-1]
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
-import random
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -334,8 +335,25 @@ def exclusion_heavy_spaces(draw):
     return doc
 
 
+@st.composite
+def dead_end_spaces(draw):
+    """Spaces whose exclusions all end at the last factor: each drawn prefix
+    is excluded with every level of it, so it is valid up to the last factor
+    and then leads nowhere."""
+    doc = space_doc(dc_counts=draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)))
+    *head, last = doc["factors"] = draw(st.permutations(doc["factors"]))
+    labels = {f["name"]: [lv["label"] for lv in f["levels"]] for f in head}
+    prefix = st.lists(st.sampled_from(sorted(labels)), min_size=1, unique=True).flatmap(
+        lambda chosen: st.fixed_dictionaries({name: st.sampled_from(labels[name]) for name in chosen})
+    )
+    doc["exclusions"] = [
+        {**p, last["name"]: lv["label"]} for p in draw(st.lists(prefix, min_size=1, max_size=4)) for lv in last["levels"]
+    ]
+    return doc
+
+
 @settings(max_examples=150, deadline=None)
-@given(exclusion_heavy_spaces())
+@given(st.one_of(exclusion_heavy_spaces(), dead_end_spaces()))
 def test_walk_matches_brute_force_for_every_role_set(doc):
     try:
         space = load_space(json.dumps(doc))
@@ -346,6 +364,38 @@ def test_walk_matches_brute_force_for_every_role_set(doc):
         expected = [Configuration(a).id for a in brute_force(doc, roles)]
         assert space.cartesian_size(roles) == len(expected)
         assert [c.id for c in space.enumerate_configs(roles)] == expected
+        # Every prefix the pool expands ends in a distinct configuration.
+        walk = space._walk(roles)
+        assert all(len(rows) <= walk.count for rows, _ in walk.expand())
+
+
+@st.composite
+def weighted_spaces(draw):
+    """``exclusion_heavy_spaces`` with uneven level weights, zeros among them."""
+    doc = draw(exclusion_heavy_spaces())
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+    for f in doc["factors"]:
+        for lv in f["levels"]:
+            lv["weight"] = draw(weight)
+        if not any(lv["weight"] for lv in f["levels"]):
+            f["levels"][0]["weight"] = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_spaces())
+def test_pool_weights_are_the_product_of_level_weights_in_factor_order(doc):
+    try:
+        space = load_space(json.dumps(doc))
+    except SpaceError:
+        return
+    for roles in (("CUI", "DC"), ("CUI",), ("DC",)):
+        pool = space.pool(roles)
+        assert pool.rows == tuple(tuple(a.values()) for a in brute_force(doc, roles))
+        level_weights = [space.factor(name).normalized_weights() for name in pool.names]
+        # Bit for bit: a float's repr round-trips exactly.
+        oracle = [repr(math.prod(map(dict.__getitem__, level_weights, row))) for row in pool.rows]
+        assert list(map(repr, pool.weights)) == oracle
 
 
 def test_forty_compatible_exclusions_count_without_blowup():
