@@ -34,7 +34,6 @@ from .design import (
 from .model import ModelError, SyntheticModel, load_model, load_model_file
 from .runner import (
     Backend,
-    Collapsed,
     ExternalBackend,
     LogHeader,
     Measurement,

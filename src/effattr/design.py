@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._util import Kind, canonical_json, derive_seed, json_scalar, parse_json, read
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
@@ -94,46 +94,58 @@ class DesignPlan:
         """``digest(self.to_dict())``, streamed into one SHA-256.
 
         The head is the canonical JSON of the plan without its trials, cut
-        before the empty list ("trials" sorts after every other key). Each
-        trial is its unit's prefix, encoded once for the unit's replicates
-        from entries encoded once per plan, then its replicate and seed.
+        before the empty list ("trials" sorts after every other key); then
+        each trial's compact text, one update per trial.
         """
         head = canonical_json(replace(self, trials=()).to_dict())
         h = hashlib.sha256(head[: -len("]}")].encode("ascii"))
-        prefixes: dict[tuple[int, str | None, str, str | None], bytes] = {}
-        entries = _Entries("%s:%s")
-        sep = b""
-        for t in self.trials:
-            unit = (id(t.config), t.arm, t.group, t.pair_id)  # the plan keeps each config alive
-            prefix = prefixes.get(unit)
-            if prefix is None:
-                j = json_scalar
-                block = ",".join([entries[kv] for kv in sorted(t.config.assignment.items())])
-                text = _TRIAL_HEAD % (j(t.arm), block, j(t.group), j(t.pair_id))
-                prefix = prefixes[unit] = text.encode("ascii")
-            h.update(sep + prefix + b'%d,"seed":%d}' % (t.replicate, t.seed))
-            sep = b","
+        sep = ""
+        for text in _trial_texts(self.trials, _COMPACT):
+            h.update((sep + text).encode("ascii"))
+            sep = ","
         h.update(b"]}")
         return h.hexdigest()
 
 
-# One trial's canonical JSON up to its replicate: keys sorted, no whitespace.
-_TRIAL_HEAD = '{"arm":%s,"assignment":{%s},"group":%s,"pair_id":%s,"replicate":'
+# The two forms of a trial's JSON text, keys sorted: its template up to the
+# replicate (arm, assignment, group, pair id), the template of its replicate
+# and seed, one assignment entry (name, label), and a nonempty assignment
+# around its entries joined by "," (an empty one is "{}" in both forms).
+_COMPACT = ('{"arm":%s,"assignment":%s,"group":%s,"pair_id":%s,"replicate":', '%d,"seed":%d}', "%s:%s", "{%s}")
+_INDENT_1 = (  # an element of the "trials" list of ``indent=1`` JSON, at depth 2
+    '  {\n   "arm": %s,\n   "assignment": %s,\n   "group": %s,\n   "pair_id": %s,\n   "replicate": ',
+    '%d,\n   "seed": %d\n  }',
+    "\n    %s: %s",
+    "{%s\n   }",
+)
 
 
-class _Entries(dict):
-    """Assignment entries ``(name, label)`` encoded through a ``"...%s...%s"``
-    format, each text entry once. Other labels are encoded on every lookup:
-    ``True``, ``1`` and ``1.0`` are equal keys that encode differently."""
+def _trial_texts(trials: Iterable[Trial], form: tuple[str, str, str, str]) -> Iterator[str]:
+    """Each trial's JSON text in ``form``, as ``json.dumps`` spells it.
 
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def __missing__(self, entry: tuple[Any, Any]) -> str:
-        text = self.fmt % (json_scalar(entry[0]), json_scalar(entry[1]))
-        if type(entry[0]) is str and type(entry[1]) is str:
-            self[entry] = text
-        return text
+    A unit's text up to the replicate is built once for all its replicates,
+    and each (factor, text label) entry once. Other labels are encoded every
+    time: ``True``, ``1`` and ``1.0`` are equal keys that encode differently.
+    """
+    head, tail, entry, block = form
+    j = json_scalar
+    prefixes: dict[tuple[int, str | None, str, str | None], str] = {}
+    entries: dict[tuple[str, str], str] = {}
+    for t in trials:
+        unit = (id(t.config), t.arm, t.group, t.pair_id)  # the trials keep each config alive
+        prefix = prefixes.get(unit)
+        if prefix is None:
+            texts = []
+            for kv in sorted(t.config.assignment.items()):
+                text = entries.get(kv)
+                if text is None:
+                    text = entry % (j(kv[0]), j(kv[1]))
+                    if type(kv[0]) is str and type(kv[1]) is str:
+                        entries[kv] = text
+                texts.append(text)
+            assignment = block % ",".join(texts) if texts else "{}"
+            prefix = prefixes[unit] = head % (j(t.arm), assignment, j(t.group), j(t.pair_id))
+        yield prefix + tail % (t.replicate, t.seed)
 
 
 def plan_digest(plan: DesignPlan) -> str:
@@ -141,38 +153,17 @@ def plan_digest(plan: DesignPlan) -> str:
     return plan.plan_digest
 
 
-# One element of the "trials" list of ``plan_to_json``: keys sorted, at depth 2.
-_TRIAL_JSON = (
-    '  {\n   "arm": %s,\n   "assignment": %s,\n   "group": %s,\n'
-    '   "pair_id": %s,\n   "replicate": %d,\n   "seed": %d\n  }'
-)
-
-
 def plan_to_json(plan: DesignPlan) -> str:
     """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``.
 
-    Everything but the trials goes through ``json.dumps``. Trials have a
-    fixed key set, so each is a template filled with C-encoded strings; a
-    configuration's assignment block is built once for all its trials, and
-    each entry once per plan.
+    Everything but the trials goes through ``json.dumps``; the trials are
+    their ``indent=1`` texts.
     """
     head = json.dumps(replace(plan, trials=()).to_dict(), sort_keys=True, indent=1)
     if not plan.trials:
         return head
-    blocks: dict[int, str] = {}  # by Configuration object, which replicates share
-    entries = _Entries("    %s: %s")
-    parts = []
-    for t in plan.trials:
-        block = blocks.get(id(t.config))
-        if block is None:
-            lines = [entries[kv] for kv in sorted(t.config.assignment.items())]
-            block = blocks[id(t.config)] = "{\n" + ",\n".join(lines) + "\n   }" if lines else "{}"
-        parts.append(
-            _TRIAL_JSON
-            % (json_scalar(t.arm), block, json_scalar(t.group), json_scalar(t.pair_id), t.replicate, t.seed)
-        )
     # The head ends in '"trials": []\n}': "trials" sorts after every other key.
-    return head[: -len("[]\n}")] + "[\n" + ",\n".join(parts) + "\n ]\n}"
+    return head[: -len("[]\n}")] + "[\n" + ",\n".join(_trial_texts(plan.trials, _INDENT_1)) + "\n ]\n}"
 
 
 # The kinds of a plan's fields and of each trial's, in the order of

@@ -450,7 +450,7 @@ def select_best_cui(
     if not dc_sample:
         raise ScenarioError("dc_sample must be nonempty")
     cui = space.cui_factor
-    collapsed = collapse(log, aggregate).values if log is not None else None
+    collapsed = collapse(log, aggregate) if log is not None else None
     means: dict[str, float] = {}
     for level in cui.labels():
         values = []

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, NamedTuple
+from typing import IO, Any, Iterable, NamedTuple
 
 from ._util import Kind, json_scalar, read
 from .design import DesignPlan, Trial, plan_digest
@@ -445,21 +445,17 @@ def aggregate(values: Iterable[float], method: str = "median") -> float:
     raise RunError(f"unknown aggregation method {method!r}")
 
 
-@dataclass(frozen=True)
-class Collapsed:
-    """Per-configuration aggregates; failed replicates excluded and counted."""
-
-    values: Mapping[str, float]
-    failed: int
-
-
-def collapse(log: RunLog, method: str = "median") -> Collapsed:
-    by_config = log.ok_values()
-    failed_ids = {m.config_id for m in log.records if m.status == "failed"}
-    dead = sorted(failed_ids - set(by_config))
+def collapse(log: RunLog, method: str = "median") -> dict[str, float]:
+    """Each configuration's aggregate over its ok replicates, failed ones
+    excluded; a configuration with no ok replicate raises."""
+    ok: dict[str, list[float]] = {}
+    failed: set[str] = set()
+    for m in log.records:
+        if m.status == "ok":
+            ok.setdefault(m.config_id, []).append(m.value)  # type: ignore[arg-type]
+        else:
+            failed.add(m.config_id)
+    dead = sorted(failed - ok.keys())
     if dead:
         raise RunError(f"configurations with zero ok measurements: {dead}")
-    return Collapsed(
-        values={cid: aggregate(vals, method) for cid, vals in by_config.items()},
-        failed=log.failed_count(),
-    )
+    return {cid: aggregate(vals, method) for cid, vals in ok.items()}

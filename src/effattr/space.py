@@ -325,18 +325,14 @@ class ConfigSpace:
             walk = self._walks[key] = _Walk(factors, [e for e in self.exclusions if set(e) <= names])
         return walk
 
-    def pool(
-        self,
-        roles: Iterable[str] = ALL_ROLES,
-        budget: int = DEFAULT_ENUMERATION_BUDGET,
-    ) -> ConfigPool:
+    def pool(self, roles: Iterable[str] = ALL_ROLES) -> ConfigPool:
         """The valid configurations over ``roles`` with their product weights.
 
-        Expanded from the walk on first use for a role set and kept
-        with the walk; the budget is checked on every call, before that.
+        Expanded from the walk on first use for a role set and kept with the
+        walk; ``DEFAULT_ENUMERATION_BUDGET`` is checked on every call, before that.
         """
         walk = self._walk(roles)
-        _check_budget(walk.count, budget)
+        _check_budget(walk.count, DEFAULT_ENUMERATION_BUDGET)
         return walk.pool
 
     # -- pairing --------------------------------------------------------

@@ -210,7 +210,7 @@ def _plan_values(
     log: RunLog, plan: DesignPlan, aggregate: str, key: Callable[[Trial], Hashable]
 ) -> dict[Hashable, list[float]]:
     """Collapsed values of each key's distinct configurations, in plan order."""
-    collapsed = collapse(log, aggregate).values
+    collapsed = collapse(log, aggregate)
     ids: dict[Hashable, dict[str, None]] = {}
     for trial in plan.trials:
         ids.setdefault(key(trial), {})[trial.config.id] = None
@@ -231,9 +231,16 @@ def paired_diffs(log: RunLog, plan: DesignPlan, aggregate: str = "median") -> Di
     if plan.method != "paired":
         raise StatsError(f"paired analysis requires a paired plan, got {plan.method!r}")
     values = _plan_values(log, plan, aggregate, _pair_arm)
-    pair_ids = dict.fromkeys(pid for pid, _ in values)
-    diffs = tuple(values[pid, ARM_A][0] - values[pid, ARM_REF][0] for pid in pair_ids)
-    return DiffSample(diffs=diffs, unit=log.header.unit)
+    diffs = []
+    for pid in dict.fromkeys(pid for pid, _ in values):
+        a, ref = values.get((pid, ARM_A), ()), values.get((pid, ARM_REF), ())
+        if len(a) != 1 or len(ref) != 1:
+            raise StatsError(
+                f"pair {pid!r}: each arm needs exactly one configuration, got {len(a)} in arm "
+                f"{ARM_A!r} and {len(ref)} in arm {ARM_REF!r}"
+            )
+        diffs.append(a[0] - ref[0])
+    return DiffSample(diffs=tuple(diffs), unit=log.header.unit)
 
 
 def _average(diffs: Sequence[float], kind: str, weights: Sequence[float] | None) -> float:

@@ -468,6 +468,28 @@ class TestAnalyzeCommand:
         assert (code, out, err) == (1, "", f"error: malformed plan document: {message}\n")
         assert log_path.read_bytes() == logged
 
+    @pytest.mark.parametrize("edit, counts", [("drop_ref", "1 in arm 'a' and 0"), ("repeat_pair_id", "2 in arm 'a' and 2")])
+    def test_a_pair_without_one_configuration_per_arm_exits_1(self, tmp_path, capsys, edit, counts):
+        # Both edits keep every unit whole, so the plan loads and runs. The
+        # first once escaped as a KeyError; the second analyzed 9 of 10 pairs.
+        plan_path, log_path = tmp_path / "plan.json", tmp_path / "log.jsonl"
+        assert run_cli(
+            capsys, "plan", "paired", "--space", SCENARIOS / "cpu_space.json", "--plan-out", plan_path,
+            "--n", "10", "--r", "2", "--cui-a", "smt_on", "--cui-ref", "smt_off", "--seed", "7",
+        )[0] == 0
+        doc = json.loads(plan_path.read_text())
+        first, second = list(dict.fromkeys(t["pair_id"] for t in doc["trials"]))[:2]
+        if edit == "drop_ref":
+            doc["trials"] = [t for t in doc["trials"] if (t["pair_id"], t["arm"]) != (first, "ref")]
+        else:
+            doc["trials"] = [dict(t, pair_id=first) if t["pair_id"] == second else t for t in doc["trials"]]
+        plan_path.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend)[0] == 0
+        code, out, err = run_cli(capsys, "analyze", "effect", "--log", log_path, "--plan", plan_path)
+        message = f"pair {first!r}: each arm needs exactly one configuration, got {counts} in arm 'ref'"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_alpha_rejected(self, ws, capsys):
         plan_path, log_path = self.run_pipeline(ws, capsys)
         code, _, err = run_cli(

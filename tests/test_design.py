@@ -25,7 +25,7 @@ from effattr import (
 )
 from effattr._util import digest
 from effattr.design import _weighted_indices, plan_from_json, plan_to_json
-from effattr.space import SpaceError
+from effattr.space import DEFAULT_ENUMERATION_BUDGET, SpaceError
 from conftest import space_doc
 
 
@@ -216,8 +216,12 @@ class TestSamplingCore:
         configs = [pool.config(i) for i in range(len(pool.rows))]
         assert [c.id for c in configs] == [c.id for c in small_space.enumerate_configs(("DC",))]
         assert all(pool.config(i) is c for i, c in enumerate(configs))
-        with pytest.raises(SpaceError, match="budget"):
-            small_space.pool(("DC",), budget=len(pool.rows) - 1)
+        # 2,000,000 DC configurations: the walk counts them without expanding them.
+        big = load_space(json.dumps(space_doc(dc_counts=(10, 10, 10, 10, 10, 20))))
+        assert big.cartesian_size(("DC",)) == 2_000_000 > DEFAULT_ENUMERATION_BUDGET
+        for _ in range(2):
+            with pytest.raises(SpaceError, match="budget"):
+                big.pool(("DC",))
 
 
 class TestStratifiedSample:

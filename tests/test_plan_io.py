@@ -162,6 +162,33 @@ def test_equal_labels_of_different_types_are_encoded_apart():
     assert plan_digest(plan) == digest(plan.to_dict())
 
 
+def test_one_configuration_in_units_of_different_group_arm_and_pair_id_is_encoded_per_unit():
+    shared = Configuration({"cpu": "ht_on", "w": "wé0"})
+    units = [("pair", "p0", "a"), ("pair", "p0", "ref"), ("pair", "p1", "a"), ("control", None, None)]
+    trials = tuple(Trial(shared, rep, g, pid, arm, seed=rep) for g, pid, arm in units for rep in range(2))
+    plan = DesignPlan("paired", trials, 2, 7, "0" * 64)
+    assert plan_to_json(plan) == oracle(plan)
+    assert plan_digest(plan) == digest(plan.to_dict())
+
+
+def test_a_trial_with_an_empty_assignment_is_encoded():
+    configs = [Configuration({}), Configuration({"cpu": "ht_off"}), Configuration({})]
+    plan = DesignPlan("full_factorial", tuple(Trial(c, 0, seed=i) for i, c in enumerate(configs)), 1, 7, "0" * 64)
+    assert plan_to_json(plan) == oracle(plan)
+    assert plan_digest(plan) == digest(plan.to_dict())
+
+
+@pytest.mark.parametrize("name", ["full", "paired", "rct"])
+def test_trials_in_shuffled_order_are_encoded(name):
+    plan = BUILDERS[name](load_space(SPACE), 3)
+    trials = list(plan.trials)
+    random.Random(11).shuffle(trials)
+    shuffled = DesignPlan(plan.method, tuple(trials), plan.r, plan.master_seed, plan.space_digest, plan.metadata)
+    assert plan_to_json(shuffled) == oracle(shuffled)
+    assert plan_digest(shuffled) == digest(shuffled.to_dict())
+    assert plan_digest(shuffled) != plan_digest(plan)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -287,8 +287,8 @@ class TestCollapse:
         log = new_log(plan, backend)
         run(plan, backend, log)
         collapsed = collapse(log, "median")
-        assert len(collapsed.values) == small_space.cartesian_size()
-        assert collapsed.failed == 0
+        assert len(collapsed) == small_space.cartesian_size()
+        assert log.failed_count() == 0
 
     def test_zero_noise_matches_model_for_any_method(self, small_space, interaction_model):
         plan = full_factorial(small_space, r=3, seed=0)
@@ -298,7 +298,7 @@ class TestCollapse:
         by_id = {c.id: c for c in small_space.enumerate_configs()}
         for method in ("mean", "median"):
             collapsed = collapse(log, method)
-            for cid, value in collapsed.values.items():
+            for cid, value in collapsed.items():
                 assert value == interaction_model.response(by_id[cid])
 
     def test_failed_replicate_excluded_and_counted(self, small_space, plain_model):
@@ -317,8 +317,8 @@ class TestCollapse:
             reason="injected",
         )
         collapsed = collapse(log, "mean")
-        assert collapsed.failed == 1
-        assert collapsed.values[target.config.id] == plain_model.response(target.config)
+        assert log.failed_count() == 1
+        assert collapsed[target.config.id] == plain_model.response(target.config)
 
     def test_config_with_no_ok_measurement_rejected(self, small_space, plain_model):
         plan = full_factorial(small_space, r=1, seed=0)
