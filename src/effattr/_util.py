@@ -7,7 +7,8 @@ import hashlib
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
-from typing import Any, Callable, Mapping
+from itertools import repeat
+from typing import Any, Callable, Mapping, Sequence
 
 # Unit separator between ``derive_seed`` parts. Labels may contain it, but
 # each call site passes a fixed number of parts of which at most one is free
@@ -133,3 +134,32 @@ def read(
             read(items, dict.fromkeys(items, kind.each), error, (*path, key))
         values.append(value)
     return values
+
+
+def read_rows(rows: Sequence[Any], table: Mapping[Any, Kind]) -> tuple[list[list[Any]], int]:
+    """``read`` over each object of ``rows``, by column: one column per table
+    entry, holding the rows before the first one that ``read`` rejects, and
+    that row's index (``len(rows)`` if none). A column's types are checked
+    as a set; only a finite number kind scans its values. The caller calls
+    ``read`` on the first bad row, which words the error. No ``each`` kinds.
+    """
+    bad = len(rows)
+    if not set(map(type, rows)) <= {dict}:
+        bad = next(i for i, row in enumerate(rows) if type(row) is not dict)
+    columns = []
+    for key, kind in table.items():
+        assert kind.each is None, "read_rows reads no element kinds"
+        column = list(map(dict.get, rows[:bad], repeat(key), repeat(_ABSENT)))
+        types = set(map(type, column))
+        if kind.finite and not types.isdisjoint((int, float)):
+            infinite = (i for i, v in enumerate(column) if type(v) in (int, float) and not -_MAX <= v <= _MAX)
+            bad = next(infinite, bad)
+        if not types.issubset(kind.types):  # a mistyped or an absent field
+            for i, value in enumerate(column[:bad]):
+                if type(value) not in kind.types:
+                    if value is not _ABSENT or kind.default is _REQUIRED:
+                        bad = i
+                        break
+                    column[i] = kind.default
+        columns.append(column)
+    return [column[:bad] for column in columns], bad

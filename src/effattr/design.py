@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, canonical_json, derive_seed, json_scalar, parse_json, read
+from ._util import Kind, canonical_json, derive_seed, json_scalar, parse_json, read, read_rows
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -177,6 +177,14 @@ _TRIAL = {
     "pair_id": Kind("text|null", None), "arm": Kind("text|null", None), "seed": Kind("integer"),
 }
 _ASSIGNMENT = {"assignment": Kind("object", each=Kind("text"))}
+# The group, pair id and arm that each method writes in every trial: the
+# values allowed, or ``str`` for any text.
+_WRITES: dict[str, tuple[Any, Any, Any]] = {
+    "full_factorial": ((GROUP_SINGLE,), (None,), (None,)),
+    "factorial_2kr": ((GROUP_SINGLE,), (None,), (None,)),
+    "rct": ((GROUP_CONTROL, GROUP_TREATMENT), (None,), (None,)),
+    "paired": ((GROUP_PAIR,), str, (ARM_A, ARM_REF)),
+}
 # The metadata entries that analyses read; the rest is carried as written.
 _METADATA = {
     "factors": Kind("array", ()), "cost": Kind("integer", None),
@@ -189,21 +197,43 @@ def _malformed(message: str) -> PlanError:
     return PlanError(f"malformed plan document: {message}")
 
 
+def _unwritten(method: str, fields: Sequence[list[str | None]]) -> tuple[int, str] | None:
+    """The first value of the group, pair id and arm ``fields`` (columns of
+    the trials) that ``method`` never writes, as (trial index, message);
+    None where there is none."""
+    first = None
+    for name, values, allowed in zip(("group", "pair_id", "arm"), fields, _WRITES[method]):
+        found = set(values)
+        wrong = found & {None} if allowed is str else found - set(allowed)
+        if wrong:
+            i = next(i for i, v in enumerate(values) if v in wrong)
+            if first is None or i < first[0]:
+                what = "text" if allowed is str else " or ".join("null" if v is None else repr(v) for v in allowed)
+                first = (i, f"trials[{i}].{name}: must be {what} for method {method!r}, got {values[i]!r}")
+    return first
+
+
 def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     method, raw_trials, r, master_seed, space_digest, metadata = read(doc, _PLAN, _malformed)
     if r < 1:  # the rule of ``require_replicates``
         raise _malformed(f"r: must be >= 1, got {r}")
+    if method not in _WRITES:
+        raise _malformed(f"method: must be one of {', '.join(map(repr, _WRITES))}, got {method!r}")
     factors, *_ = read(metadata, _METADATA, _malformed, ("metadata",))
     for i, f in enumerate(factors):
         read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
+    # The loop checks each trial before the first mistyped one or the first
+    # value the method never writes, in order, so the earliest error wins.
+    columns, bad = read_rows(raw_trials, _TRIAL)
+    unwritten = _unwritten(method, columns[2:5])  # group, pair id, arm
+    stop = bad if unwritten is None else unwritten[0]
     # One Configuration, and one id, per distinct assignment.
     configs: dict[tuple[tuple[str, str], ...], Configuration] = {}
     # Each trial is one replicate of its unit (configuration, group, pair id,
     # arm), by which it is kept here; every unit needs replicates 0..r-1.
     trial_at: dict[tuple[tuple[str, str, str | None, str | None], int], int] = {}
     trials = []
-    for i, t in enumerate(raw_trials):
-        assignment, replicate, group, pair_id, arm, seed = read(t, _TRIAL, _malformed, ("trials", i))
+    for i, assignment, replicate, group, pair_id, arm, seed in zip(range(stop), *columns):
         if not 0 <= replicate < r:
             raise _malformed(f"trials[{i}].replicate: must be in 0..{r - 1}, got {replicate}")
         key = tuple(assignment.items())
@@ -212,12 +242,17 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
         except TypeError:  # an unhashable label, which the read below names
             config = None
         if config is None:
-            read({"assignment": assignment}, _ASSIGNMENT, _malformed, ("trials", i))
+            if not set(map(type, assignment.values())) <= {str}:
+                read({"assignment": assignment}, _ASSIGNMENT, _malformed, ("trials", i))
             config = configs[key] = Configuration(assignment)
         at = trial_at.setdefault(((config.id, group, pair_id, arm), replicate), i)
         if at != i:
             raise _malformed(f"trials[{i}]: repeats trials[{at}], replicate {replicate} of the same unit")
         trials.append(Trial(config, replicate, group, pair_id, arm, seed))
+    if unwritten is not None:
+        raise _malformed(unwritten[1])
+    if bad < len(raw_trials):
+        read(raw_trials[bad], _TRIAL, _malformed, ("trials", bad))  # raises
     # No replicate repeats or lies outside 0..r-1, so every unit is whole iff
     # there are r trials per unit.
     sizes = Counter(unit for unit, _ in trial_at)

@@ -127,8 +127,7 @@ class SyntheticModel:
         pool = space.pool((ROLE_DC,))
         for row, w in zip(pool.rows, pool.weights):
             dc = dict(zip(pool.names, row))
-            side_a = space.completion(dc, cui_a, "a")
-            side_ref = space.completion(dc, cui_ref, "b")
+            side_a, side_ref = space.completions(dc, cui_a, cui_ref)
             acc += w * (self._evaluate(side_a) - self._evaluate(side_ref))
             total_w += w
         if total_w <= 0:

@@ -337,31 +337,44 @@ class ConfigSpace:
 
     # -- pairing --------------------------------------------------------
 
+    @cached_property
+    def _pairing(self) -> tuple[Factor, frozenset[str], dict[str | None, list[Any]]]:
+        """What pairing needs of the space: the CUI factor, the DC factor
+        names, and the exclusions by the CUI label they name (None where they
+        name none), each without the CUI, as items views."""
+        cui = self.cui_factor
+        by_label: dict[str | None, list[Any]] = {}
+        for e in self.exclusions:
+            rest = {k: v for k, v in e.items() if k != cui.name}
+            by_label.setdefault(e.get(cui.name), []).append(rest.items())
+        return cui, frozenset(f.name for f in self.factors if f.role == ROLE_DC), by_label
+
     def pair_with(
         self, dc_config: Configuration, cui_level_a: str, cui_level_b: str
     ) -> tuple[Configuration, Configuration]:
         """Complete a DC configuration with two CUI levels, checking validity."""
-        cui = self.cui_factor
+        cui, dc_names, _ = self._pairing
         for lab in (cui_level_a, cui_level_b):
             cui.level(lab)  # raises on unknown label
-        dc_names = {f.name for f in self.factors if f.role == ROLE_DC}
-        missing = dc_names - set(dc_config.assignment)
+        missing = dc_names - dc_config.assignment.keys()
         if missing:
             raise SpaceError(f"dc configuration missing factors: {sorted(missing)}")
-        return (
-            Configuration(self.completion(dc_config.assignment, cui_level_a, "a")),
-            Configuration(self.completion(dc_config.assignment, cui_level_b, "b")),
-        )
+        side_a, side_b = self.completions(dc_config.assignment, cui_level_a, cui_level_b)
+        return Configuration(side_a), Configuration(side_b)
 
-    def completion(self, dc_assignment: Mapping[str, str], cui_level: str, side: str) -> dict[str, str]:
-        """``dc_assignment`` completed with a CUI level; raises if it is excluded."""
-        cui = self.cui_factor.name
-        assignment = {**dc_assignment, cui: cui_level}
-        if not self.is_valid(assignment):
-            raise SpaceError(
-                f"pairing error on side {side}: completion with {cui}={cui_level!r} is excluded"
-            )
-        return assignment
+    def completions(
+        self, dc_assignment: Mapping[str, str], cui_level_a: str, cui_level_b: str
+    ) -> tuple[dict[str, str], dict[str, str]]:
+        """``dc_assignment`` completed with each CUI level, sides a and b;
+        raises for the first side that is excluded. The exclusions that do
+        not name the CUI are checked once, the others only for their level."""
+        cui, _, by_label = self._pairing
+        items = dc_assignment.items()
+        dc_excluded = any(items >= e for e in by_label.get(None, ()))
+        for level, side in ((cui_level_a, "a"), (cui_level_b, "b")):
+            if dc_excluded or any(items >= e for e in by_label.get(level, ())):
+                raise SpaceError(f"pairing error on side {side}: completion with {cui.name}={level!r} is excluded")
+        return {**dc_assignment, cui.name: cui_level_a}, {**dc_assignment, cui.name: cui_level_b}
 
     # -- serialization --------------------------------------------------
 

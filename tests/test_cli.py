@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -768,3 +769,85 @@ class TestParserReuse:
         code = "import effattr.cli as cli; print(cli.build_parser.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "0"
+
+
+class TestPlanValuesOfTheMethod:
+    """A plan's group, pair id and arm must be values its method writes."""
+
+    def plan(self, capsys, tmp_path, *argv):
+        plan_path = tmp_path / "plan.json"
+        assert run_cli(capsys, "plan", *argv, "--plan-out", plan_path, "--r", "2", "--seed", "7")[0] == 0
+        return plan_path, json.loads(plan_path.read_text())
+
+    def test_a_unit_of_arm_b_is_rejected(self, tmp_path, capsys):
+        # It once ran, and analyze effect exited 0 with the unedited delta_e.
+        plan_path, doc = self.plan(
+            capsys, tmp_path, "paired", "--space", SCENARIOS / "cpu_space.json", "--n", "10",
+            "--cui-a", "smt_on", "--cui-ref", "smt_off",
+        )
+        log_path, backend = tmp_path / "log.jsonl", f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend)[0] == 0
+        logged = log_path.read_bytes()
+        # The first pair's `a` unit, both replicates, with another dataset and arm "b".
+        first_a = [t for t in doc["trials"] if t["arm"] == "a"][:2]
+        dataset = next(d for d in ("small", "medium") if d != first_a[0]["assignment"]["dataset"])
+        doc["trials"] += [dict(t, arm="b", assignment=dict(t["assignment"], dataset=dataset)) for t in first_a]
+        plan_path.write_text(json.dumps(doc))
+        message = "error: malformed plan document: trials[40].arm: must be 'a' or 'ref' for method 'paired', got 'b'\n"
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend) == (1, "", message)
+        assert run_cli(capsys, "analyze", "effect", "--log", log_path, "--plan", plan_path) == (1, "", message)
+        assert log_path.read_bytes() == logged
+
+    @pytest.mark.parametrize(
+        "argv, group, message",
+        [
+            (("rct", "--n", "4", "--control", "ht_on", "--treatment", "ht_off"), "pair",
+             "trials[1].group: must be 'control' or 'treatment' for method 'rct', got 'pair'"),
+            (("full",), "control", "trials[1].group: must be 'single' for method 'full_factorial', got 'control'"),
+        ],
+    )
+    def test_a_group_the_method_never_writes_is_rejected(self, ws, tmp_path, capsys, argv, group, message):
+        plan_path, doc = self.plan(capsys, tmp_path, argv[0], "--space", ws["space"], *argv[1:])
+        doc["trials"][1]["group"] = group
+        plan_path.write_text(json.dumps(doc))
+        argv = ("run", "--plan", plan_path, "--log", tmp_path / "log.jsonl", "--backend", f"synthetic:{ws['model']}")
+        assert run_cli(capsys, *argv) == (1, "", f"error: malformed plan document: {message}\n")
+
+
+class TestCyclicGcPause:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (lambda ws: ("space", "size", ws["space"]), 0),
+            (lambda ws: ("plan", "rct", "--space", ws["space"], "--plan-out", ws["dir"] / "p.json", "--n", "3",
+                         "--control", "ht_on", "--treatment", "ht_off"), 1),
+            (lambda ws: ("space", "nosuch"), 1),
+        ],
+        ids=["success", "domain-error", "argparse-error"],
+    )
+    def test_main_leaves_the_gc_as_it_found_it(self, ws, capsys, argv, code, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(capsys, *argv(ws))[0] == code
+        assert gc.isenabled() is enabled
+
+    def test_an_escaping_error_leaves_the_gc_enabled(self, monkeypatch):
+        gc.enable()
+        monkeypatch.setattr(cli, "cmd_space", lambda args: {}["bug"])
+        with pytest.raises(KeyError):
+            main(["space", "size", "any.json"])
+        assert gc.isenabled()
+
+    def test_a_command_runs_with_the_gc_paused(self, monkeypatch, capsys):
+        gc.enable()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_space", lambda args: seen.append(gc.isenabled()) or 0)
+        assert run_cli(capsys, "space", "size", "any.json") == (0, "", "")
+        assert seen == [False]
+        assert gc.isenabled()

@@ -293,6 +293,56 @@ class TestPairWith:
         with pytest.raises(SpaceError, match="missing factors"):
             small_space.pair_with(Configuration({"w": "w0"}), "ht_on", "ht_off")
 
+    @staticmethod
+    def reference_pair_with(space, dc_config, cui_level_a, cui_level_b):
+        """``pair_with`` by its definition: each side's whole assignment
+        checked against every exclusion."""
+        cui = space.cui_factor
+        for lab in (cui_level_a, cui_level_b):
+            cui.level(lab)
+        dc_names = {f.name for f in space.factors if f.role == "DC"}
+        missing = dc_names - set(dc_config.assignment)
+        if missing:
+            raise SpaceError(f"dc configuration missing factors: {sorted(missing)}")
+        sides = []
+        for level, side in ((cui_level_a, "a"), (cui_level_b, "b")):
+            assignment = {**dc_config.assignment, cui.name: level}
+            if not space.is_valid(assignment):
+                raise SpaceError(f"pairing error on side {side}: completion with {cui.name}={level!r} is excluded")
+            sides.append(Configuration(assignment))
+        return tuple(sides)
+
+    LABELS = {"cpu": ["c0", "c1", "c2"], "w": ["w0", "w1"], "t": ["t0", "t1", "t2"]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exclusions=st.lists(
+            st.fixed_dictionaries({}, optional={name: st.sampled_from(labels) for name, labels in LABELS.items()}),
+            max_size=5,
+        ),
+        dc=st.fixed_dictionaries(
+            {"w": st.sampled_from(LABELS["w"]), "t": st.sampled_from(LABELS["t"] + ["x"])},
+            optional={"cpu": st.sampled_from(LABELS["cpu"]), "extra": st.just("e")},
+        ),
+        levels=st.tuples(st.sampled_from(LABELS["cpu"] + ["nosuch"]), st.sampled_from(LABELS["cpu"])),
+    )
+    def test_pairs_and_errors_match_the_reference(self, exclusions, dc, levels):
+        doc = space_doc(cui_levels=self.LABELS["cpu"], dc_counts=(2, 3), exclusions=[e for e in exclusions if e])
+        try:
+            space = load_space(doc)
+        except SpaceError:
+            return  # the exclusions void the space
+        dc_config = Configuration(dc)
+
+        def outcome(pair_with):
+            try:
+                return [(list(c.assignment.items()), c.id) for c in pair_with(dc_config, *levels)]
+            except SpaceError as exc:
+                return str(exc)
+
+        expected = outcome(lambda *args: self.reference_pair_with(space, *args))
+        assert outcome(space.pair_with) == expected
+
 
 def test_configuration_id_order_invariant():
     a = Configuration({"w": "w0", "t": "t1", "cpu": "on"})
