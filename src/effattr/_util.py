@@ -3,17 +3,34 @@ field reader shared across modules."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from itertools import repeat
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 # Unit separator between ``derive_seed`` parts. Labels may contain it, but
 # each call site passes a fixed number of parts of which at most one is free
 # text (a label), so the joined text still has one reading per call site.
 _SEP = "\x1f"
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and restore its previous state on
+    leaving, also on error. A command's or a loader's objects seldom form
+    cycles, so collections over them cost time and free almost nothing.
+    Works as a decorator too: ``@gc_paused()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def canonical_json(obj: Any) -> str:

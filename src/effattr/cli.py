@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import math
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from . import design, meta, runner, stats
-from ._util import Kind, parse_json, read
+from ._util import Kind, gc_paused, parse_json, read
 from .model import load_model_file
 from .space import ROLE_CUI, ROLE_DC, load_space_file
 
@@ -363,21 +362,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
         return EXIT_OK if code == 0 else EXIT_DOMAIN
-    # A command's objects seldom form cycles, so the cyclic GC is paused
-    # while it runs: its collections cost time and free almost nothing.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        with gc_paused():
+            return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # the base of every domain error: SpaceError, PlanError, ...
         _diag(f"error: {exc}")
         return EXIT_DOMAIN
     except OSError as exc:
         _diag(f"io error: {exc}")
         return EXIT_IO
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def entry() -> None:  # pragma: no cover - console script shim

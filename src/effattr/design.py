@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, canonical_json, derive_seed, json_scalar, parse_json, read, read_rows
+from ._util import Kind, canonical_json, derive_seed, gc_paused, json_scalar, parse_json, read, read_rows
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -262,6 +262,7 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     return DesignPlan(method, tuple(trials), r, master_seed, space_digest, dict(metadata))
 
 
+@gc_paused()
 def plan_from_json(text: str) -> DesignPlan:
     return plan_from_dict(parse_json(text, PlanError, "plan document"))
 
@@ -588,6 +589,8 @@ def paired_plan(
     only (the sample itself is taken by the caller).
     """
     require_replicates(r)
+    if cui_a == cui_ref:
+        raise PlanError(f"a paired plan needs two different CUI levels, got cui_a={cui_a!r} and cui_ref={cui_ref!r}")
     if len({dc.id for dc in dc_sample}) != len(dc_sample):
         raise PlanError("dc_sample contains duplicate configurations; pair ids must be unique")
     units = []

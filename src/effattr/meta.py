@@ -95,6 +95,11 @@ class Scenario:
         for m in self.methods:
             if m.kind not in METHOD_KINDS:
                 raise ScenarioError(f"unknown method kind {m.kind!r}")
+        # An rct run on one level is an A/A calibration check; a pair of one level is empty.
+        if self.cui_a == self.cui_ref and any(m.kind == "paired" for m in self.methods):
+            raise ScenarioError(
+                f"a paired method needs two different CUI levels, got cui_a={self.cui_a!r} and cui_ref={self.cui_ref!r}"
+            )
 
     @cached_property
     def truth(self) -> float:

@@ -22,10 +22,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, NamedTuple
 
-from ._util import Kind, json_scalar, read
+from ._util import Kind, gc_paused, json_scalar, read, read_rows
 from .design import DesignPlan, Trial, plan_digest
 from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
@@ -61,7 +63,7 @@ class Measurement(_MeasurementFields):
         reason: str | None = None,
     ) -> "Measurement":
         if status == "ok":
-            if value is None or not (value == value and abs(value) != float("inf")):
+            if value is None or not (value == value and abs(value) != math.inf):
                 raise RunError(f"measurement {config_id}/{replicate}: value must be finite")
         elif status != "failed":
             raise RunError(f"measurement status must be ok or failed, got {status!r}")
@@ -120,6 +122,30 @@ class LogHeader:
         }
 
 
+_scan = json.JSONDecoder().scan_once  # ``json.loads`` of a document with no whitespace around it
+_JSON_SPACE = " \t\n\r"
+
+
+def _read_records(lines: list[str]) -> list[Measurement] | None:
+    """The measurements of the record lines ``lines``, blank ones skipped, read
+    by column; None if a line is not one good record."""
+    texts = list(filter(None, map(str.strip, lines, repeat(_JSON_SPACE))))
+    try:
+        scanned = list(map(_scan, texts, repeat(0)))
+    except (StopIteration, ValueError, RecursionError):  # no value at the start, bad or too deep JSON
+        return None
+    if list(map(itemgetter(1), scanned)) != list(map(len, texts)):  # more after the value
+        return None
+    columns, bad = read_rows(list(map(itemgetter(0), scanned)), _RECORD)
+    del scanned  # the records' dicts, before the measurements are built: peak memory
+    if bad < len(texts):
+        return None
+    try:
+        return list(map(Measurement, *columns))
+    except ValueError:
+        return None
+
+
 class RunLog:
     """Header plus append-only measurements, optionally bound to a JSONL file."""
 
@@ -137,6 +163,7 @@ class RunLog:
             self.flush()
 
     @classmethod
+    @gc_paused()
     def load(cls, path: str | Path) -> "RunLog":
         """Read a log file; it is reopened for appending on the first new record.
 
@@ -166,18 +193,26 @@ class RunLog:
             *read(head, _HEADER, lambda message: RunError(f"run log {path}: bad header line: {message}"))
         )
         log = cls(header, path=path, _existing=True)
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                m = Measurement(*read(json.loads(line), _RECORD, ValueError))
-            except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
-                if torn and i == len(lines):
-                    print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
-                    log._reopen = (complete, "")
-                    return log
-                raise RunError(f"run log {path}:{i}: malformed record: {exc}") from exc
-            log._add(m, write=False)
+        # Every record of a good log is read at once, by column; a log with a
+        # malformed record or a duplicate key is read again line by line,
+        # which names the first fault or drops a torn last record.
+        records = _read_records(lines[1:])
+        if records is not None:
+            log._records = dict(zip(map(itemgetter(0, 1), records), records))
+        if records is None or len(log._records) < len(records):
+            log._records = {}
+            for i, line in enumerate(lines[1:], start=2):
+                if not line.strip():
+                    continue
+                try:
+                    m = Measurement(*read(json.loads(line), _RECORD, ValueError))
+                except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
+                    if torn and i == len(lines):
+                        print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
+                        log._reopen = (complete, "")
+                        return log
+                    raise RunError(f"run log {path}:{i}: malformed record: {exc}") from exc
+                log._add(m, write=False)
         # A whole last record that lost only its newline gets it back.
         log._reopen = (None, "\n" if torn else "")
         return log

@@ -13,8 +13,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter, itemgetter, sub, truediv
 from typing import Callable, Hashable, Sequence
 
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial
@@ -397,24 +400,61 @@ class AnovaTable:
     alpha: float
 
 
-def _anova_cell(config: Configuration, names: list[str], index: list[dict[str, int]]) -> tuple[int, ...]:
-    """The configuration's level positions in the grid of ``metadata.factors``."""
+def _no_cell(config: Configuration, names: list[str], labels: list[list[str]]) -> StatsError:
+    """Why the configuration has no cell in the grid of ``metadata.factors``."""
     assignment = config.assignment
     if assignment.keys() != set(names):
-        raise StatsError(
+        return StatsError(
             f"anova: configuration {config.id} sets factors {sorted(assignment)}, "
             f"but the plan's metadata.factors names {sorted(names)}"
         )
-    cell = []
-    for name, positions in zip(names, index):
-        label = assignment[name]
-        if label not in positions:
-            raise StatsError(
-                f"anova: configuration {config.id} sets {name}={label!r}, "
-                f"a label that the plan's metadata.factors does not list"
-            )
-        cell.append(positions[label])
-    return tuple(cell)
+    name, label = next((n, assignment[n]) for n, labs in zip(names, labels) if assignment[n] not in labs)
+    return StatsError(
+        f"anova: configuration {config.id} sets {name}={label!r}, "
+        f"a label that the plan's metadata.factors does not list"
+    )
+
+
+def _measurements(log: RunLog, plan: DesignPlan, names: list[str], labels: list[list[str]]) -> list[float]:
+    """The ok measurement of each trial, in C order over the factor grid and
+    then the replicate; the first trial without one is named."""
+    r, k = plan.r, len(names)
+    cells = list(itertools.product(*labels))
+    # A plan as full_factorial writes it, cells in C order and each cell's
+    # replicates in turn, is checked as a whole; another order or a fault
+    # goes trial by trial.
+    configs = list(map(itemgetter(0), plan.trials))
+    firsts, reps = configs[::r], list(range(r)) * len(cells)
+    if (
+        list(map(itemgetter(1), plan.trials)) == reps
+        and all(configs[j::r] == firsts for j in range(1, r))
+        and all(map(k.__eq__, map(len, map(attrgetter("assignment"), firsts))))
+        and list(map(tuple, map(map, map(attrgetter("assignment.get"), firsts), repeat(names)))) == cells
+    ):
+        values = list(map(log.ok_value, map(attrgetter("id"), configs), reps))
+        if None not in values:
+            return list(map(float, values))  # type: ignore[arg-type]
+    start_of = dict(zip(cells, itertools.count(0, r)))  # by label tuple
+    ys: list[float | None] = [None] * (len(cells) * r)
+    starts: dict[int, int] = {}  # by Configuration object, which replicates share
+    ok_value = log.ok_value
+    for config, rep in map(itemgetter(0, 1), plan.trials):
+        start = starts.get(id(config))
+        if start is None:
+            assignment = config.assignment
+            start = start_of.get(tuple(map(assignment.get, names))) if len(assignment) == k else None
+            if start is None:
+                raise _no_cell(config, names, labels)
+            starts[id(config)] = start
+        if not 0 <= rep < r:
+            raise StatsError(f"anova: trial {config.id}/{rep} has a replicate outside 0..{r - 1}")
+        value = ok_value(config.id, rep)
+        if value is None:
+            raise StatsError(f"anova: unbalanced design; missing ok measurement for {config.id}/{rep}")
+        ys[start + rep] = value
+    if None in ys:
+        raise StatsError("anova: unbalanced design; some cells have no measurement")
+    return list(map(float, ys))  # type: ignore[arg-type]
 
 
 def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
@@ -422,10 +462,9 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
 
     Requires the full-factorial plan's replication (r >= 2) so the error
     term exists; any missing or failed measurement makes the design
-    unbalanced and is rejected.
+    unbalanced and is rejected. A component of a single-level factor has
+    no degrees of freedom (and a zero sum of squares), so it has no row.
     """
-    import numpy as np  # only ANOVA needs it; importing it costs more than the rest of effattr
-
     if plan.method != "full_factorial":
         raise StatsError(f"anova requires a full_factorial plan, got {plan.method!r}")
     if not 0.0 < alpha < 1.0:
@@ -441,89 +480,62 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     k = len(names)
     if k > _ANOVA_MAX_FACTORS:
         raise StatsError(f"anova: at most {_ANOVA_MAX_FACTORS} factors supported, got {k}")
-    index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
-    shape = tuple(len(labs) for labs in labels) + (r,)
-    n_cells = math.prod(shape[:-1])
+    dims = [len(labs) for labs in labels]
+    n_cells = math.prod(dims)
     if len(plan.trials) < n_cells * r:
         raise StatsError(
             f"anova: the space's exclusions leave the grid incomplete; the plan has "
             f"{len(plan.trials)} trials, {n_cells} level combinations x r {r} need {n_cells * r}"
         )
-    y = np.full(shape, np.nan)
-    cells: dict[int, tuple[int, ...]] = {}  # by Configuration object, which replicates share
-    for trial in plan.trials:
-        config, rep = trial.config, trial.replicate
-        cell = cells.get(id(config))
-        if cell is None:
-            cell = cells[id(config)] = _anova_cell(config, names, index)
-        if not 0 <= rep < r:
-            raise StatsError(f"anova: trial {config.id}/{rep} has a replicate outside 0..{r - 1}")
-        value = log.ok_value(config.id, rep)
-        if value is None:
-            raise StatsError(f"anova: unbalanced design; missing ok measurement for {config.id}/{rep}")
-        y[cell + (rep,)] = value
-    if np.isnan(y).any():
-        raise StatsError("anova: unbalanced design; some cells have no measurement")
+    from . import _sums  # only ANOVA needs it (see its docstring)
 
-    grand = y.mean()
-    cell_means = y.mean(axis=-1)
-    total_ss = float(((y - grand) ** 2).sum())
-    error_ss = float(((y - cell_means[..., None]) ** 2).sum())
+    ys = _measurements(log, plan, names, labels)
+    n = len(ys)
+    # A single-level factor's components have 0 degrees of freedom (and a
+    # zero sum of squares by construction): they get no row, and the other
+    # rows are those of the same data without that factor.
+    live = [i for i in range(k) if dims[i] > 1]
+
+    grand = _sums.pairwise(ys, 0, n) / n
+    cell_means = list(map(truediv, _sums.array_sum(ys, dims + [r], (k,)), repeat(r)))
+    total_ss = 0.0 + _sums.pairwise(_sums.squares(map(sub, ys, repeat(grand))), 0, n)
+    spread_means = _sums.spread(cell_means, dims + [r], range(k))
+    error_ss = 0.0 + _sums.pairwise(_sums.squares(map(sub, ys, spread_means)), 0, n)
     error_df = n_cells * (r - 1)
 
     # Rounding floor: sums of squares at or below accumulated float noise
     # are treated as exactly zero (constant-response designs).
-    max_abs = float(np.abs(y).max()) if y.size else 0.0
-    floor = y.size * (16 * np.finfo(float).eps * max(1.0, max_abs)) ** 2
+    floor = n * (16 * sys.float_info.epsilon * max(1.0, max(map(abs, ys)))) ** 2
 
-    # Marginal cell means over every factor subset, grand mean included.
-    marginals: dict[frozenset[int], np.ndarray] = {}
-    for order in range(0, k + 1):
-        for subset in itertools.combinations(range(k), order):
-            axes = tuple(i for i in range(k) if i not in subset)
-            marginals[frozenset(subset)] = (
-                cell_means.mean(axis=axes, keepdims=True) if axes else cell_means
-            )
-
+    marginals = _sums.marginal_means(cell_means, dims, live)
     error_ms = error_ss / error_df
     rows = []
-    for order in range(1, k + 1):
-        for subset in itertools.combinations(range(k), order):
-            effect = np.zeros_like(marginals[frozenset(subset)])
-            for t_order in range(0, order + 1):
-                sign = (-1) ** (order - t_order)
-                for t_subset in itertools.combinations(subset, t_order):
-                    effect = effect + sign * marginals[frozenset(t_subset)]
-            outside = 1
-            for i in range(k):
-                if i not in subset:
-                    outside *= shape[i]
-            ss = float(r * outside * (effect**2).sum())
-            df = 1
-            for i in subset:
-                df *= shape[i] - 1
-            f_crit = f_quantile(alpha, df, error_df)
-            if ss <= floor:
-                ss = 0.0
-                f_comp = 0.0
-                significant = False
-            elif error_ms <= floor / max(error_df, 1):
-                f_comp = math.inf
-                significant = True
-            else:
-                f_comp = (ss / df) / error_ms
-                significant = f_comp > f_crit
-            rows.append(
-                AnovaRow(
-                    component=tuple(names[i] for i in subset),
-                    ss=ss,
-                    df=df,
-                    pct=0.0,  # filled below once total is known
-                    f_computed=f_comp,
-                    f_critical=f_crit,
-                    significant=significant,
-                )
+    for subset, effect in _sums.effects(marginals, dims, live):
+        outside = math.prod(dims[i] for i in range(k) if i not in subset)
+        ss = r * outside * (0.0 + _sums.pairwise(_sums.squares(effect), 0, len(effect)))
+        df = math.prod(dims[i] - 1 for i in subset)
+        f_crit = f_quantile(alpha, df, error_df)
+        if ss <= floor:
+            ss = 0.0
+            f_comp = 0.0
+            significant = False
+        elif error_ms <= floor / max(error_df, 1):
+            f_comp = math.inf
+            significant = True
+        else:
+            f_comp = (ss / df) / error_ms
+            significant = f_comp > f_crit
+        rows.append(
+            AnovaRow(
+                component=tuple(names[i] for i in subset),
+                ss=ss,
+                df=df,
+                pct=0.0,  # filled below once total is known
+                f_computed=f_comp,
+                f_critical=f_crit,
+                significant=significant,
             )
+        )
 
     if total_ss <= floor:
         total_ss = 0.0

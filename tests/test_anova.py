@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from effattr import (
+    AnovaTable,
     Measurement,
     StatsError,
     SyntheticBackend,
@@ -26,6 +30,8 @@ from effattr import (
 )
 from effattr._util import assignment_id
 from effattr.cli import main
+from effattr._sums import array_sum
+from effattr.stats import AnovaRow, ErrorRow, f_quantile
 from effattr.runner import Backend
 from conftest import space_doc
 
@@ -160,6 +166,26 @@ class TestStructure:
         log._records.pop(next(iter(log._records)))
         with pytest.raises(StatsError, match="unbalanced"):
             anova(log, plan)
+
+    @pytest.mark.parametrize("order", ["reversed", "replicate_major"])
+    def test_trial_order_leaves_the_table(self, small_space, order):
+        plan = full_factorial(small_space, r=3, seed=0)
+        backend = SyntheticBackend(SyntheticModel(baseline=10.0, noise_sd=1.0))
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        trials = plan.trials[::-1] if order == "reversed" else sorted(plan.trials, key=lambda t: t.replicate)
+        assert repr(anova(log, dataclasses.replace(plan, trials=tuple(trials)))) == repr(anova(log, plan))
+
+    def test_unbalanced_named_in_any_trial_order(self, small_space, plain_model):
+        plan = full_factorial(small_space, r=2, seed=0)
+        backend = SyntheticBackend(plain_model)
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        gone = plan.trials[5]
+        del log._records[(gone.config.id, gone.replicate)]
+        for trials in (plan.trials, plan.trials[::-1]):
+            with pytest.raises(StatsError, match=f"missing ok measurement for {gone.config.id}/{gone.replicate}"):
+                anova(log, dataclasses.replace(plan, trials=trials))
 
     def test_space_exclusions_named_for_an_incomplete_grid(self):
         space = load_space_file(SCENARIOS / "cpu_space.json")
@@ -328,3 +354,166 @@ class TestPlantedEffects:
         for name, var in variances.items():
             assert by_label[name].pct == pytest.approx(100 * var / total, abs=2.0)
             assert by_label[name].significant
+
+
+# -- numpy's summation order -------------------------------------------------------
+
+
+def numpy_anova(log, plan, alpha=0.01):
+    """``anova`` as it was computed with numpy: the oracle of its bytes."""
+    import itertools
+
+    r = plan.r
+    names = [f["name"] for f in plan.metadata["factors"]]
+    labels = [list(f["labels"]) for f in plan.metadata["factors"]]
+    k = len(names)
+    shape = tuple(len(labs) for labs in labels) + (r,)
+    n_cells = math.prod(shape[:-1])
+    y = np.full(shape, np.nan)
+    for trial in plan.trials:
+        cell = tuple(labs.index(trial.config.assignment[name]) for name, labs in zip(names, labels))
+        y[cell + (trial.replicate,)] = log.ok_value(trial.config.id, trial.replicate)
+    assert not np.isnan(y).any()
+
+    grand = y.mean()
+    cell_means = y.mean(axis=-1)
+    total_ss = float(((y - grand) ** 2).sum())
+    error_ss = float(((y - cell_means[..., None]) ** 2).sum())
+    error_df = n_cells * (r - 1)
+    max_abs = float(np.abs(y).max()) if y.size else 0.0
+    floor = y.size * (16 * np.finfo(float).eps * max(1.0, max_abs)) ** 2
+    marginals = {}
+    for order in range(0, k + 1):
+        for subset in itertools.combinations(range(k), order):
+            axes = tuple(i for i in range(k) if i not in subset)
+            marginals[frozenset(subset)] = cell_means.mean(axis=axes, keepdims=True) if axes else cell_means
+    error_ms = error_ss / error_df
+    rows = []
+    for order in range(1, k + 1):
+        for subset in itertools.combinations(range(k), order):
+            effect = np.zeros_like(marginals[frozenset(subset)])
+            for t_order in range(0, order + 1):
+                sign = (-1) ** (order - t_order)
+                for t_subset in itertools.combinations(subset, t_order):
+                    effect = effect + sign * marginals[frozenset(t_subset)]
+            outside = math.prod(shape[i] for i in range(k) if i not in subset)
+            ss = float(r * outside * (effect**2).sum())
+            df = math.prod(shape[i] - 1 for i in subset)
+            f_crit = f_quantile(alpha, df, error_df)
+            if ss <= floor:
+                ss, f_comp, significant = 0.0, 0.0, False
+            elif error_ms <= floor / max(error_df, 1):
+                f_comp, significant = math.inf, True
+            else:
+                f_comp = (ss / df) / error_ms
+                significant = f_comp > f_crit
+            rows.append(AnovaRow(tuple(names[i] for i in subset), ss, df, 0.0, f_comp, f_crit, significant))
+    if total_ss <= floor:
+        total_ss = error_ss = 0.0
+
+    def pct_of(ss):
+        return 100.0 * ss / total_ss if total_ss > 0 else 0.0
+
+    rows = [dataclasses.replace(row, pct=pct_of(row.ss)) for row in rows]
+    return AnovaTable(tuple(rows), ErrorRow(error_ss, error_df, pct_of(error_ss)), total_ss, alpha)
+
+
+def _bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+@st.composite
+def reductions(draw):
+    """A C-order array of mixed magnitudes with some signed zeros, and the axes to sum."""
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    else:  # a long axis: runs of more than 128 values, split in halves
+        dims = draw(st.lists(st.integers(1, 4), min_size=0, max_size=2))
+        dims.insert(draw(st.integers(0, len(dims))), draw(st.integers(100, 1000)))
+    axes = sorted(draw(st.sets(st.integers(0, len(dims) - 1), min_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(dims) * 10.0 ** rng.integers(-12, 13, size=dims)
+    x[rng.random(dims) < 0.05] = -0.0
+    x[rng.random(dims) < 0.02] = 0.0
+    return x, axes
+
+
+class TestNumpyOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(reductions())
+    def test_sum_is_numpy_sum_bit_for_bit(self, case):
+        x, axes = case
+        expected = np.sum(x, axis=tuple(axes), keepdims=True).ravel().tolist()
+        assert _bits(array_sum(x.ravel().tolist(), x.shape, axes)) == _bits(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.lists(st.integers(2, 4), min_size=1, max_size=6).filter(lambda ls: math.prod(ls) <= 400),
+        r=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-9, 1.0, 1e9]),
+        constant=st.booleans(),
+    )
+    @example(levels=[3, 2, 3, 2, 2, 4], r=2, seed=3, scale=1.0, constant=False)  # 6 factors, the most supported
+    def test_table_is_numpy_table(self, levels, r, seed, scale, constant):
+        cui = tuple(f"c{i}" for i in range(levels[0]))
+        space = load_space(json.dumps(space_doc(cui_levels=cui, dc_counts=tuple(levels[1:]))))
+        rng = random.Random(seed)
+        fn = (lambda a, rep: 0.1 * scale) if constant else (lambda a, rep: rng.gauss(100.0, 5.0) * scale)
+        plan = full_factorial(space, r=r, seed=0)
+        backend = TableBackend(fn)
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        assert repr(anova(log, plan)) == repr(numpy_anova(log, plan))
+
+    def test_grid_follows_the_order_of_metadata_labels(self):
+        space = load_space(json.dumps(space_doc(dc_counts=(3, 2))))
+        rng = random.Random(2)
+        plan = full_factorial(space, r=2, seed=0)
+        backend = TableBackend(lambda a, rep: rng.gauss(50.0, 5.0))
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        factors = copy.deepcopy(plan.metadata["factors"])
+        factors[1]["labels"].reverse()  # trials stay in the order of the space's labels
+        relabeled = dataclasses.replace(plan, metadata={**plan.metadata, "factors": factors})
+        assert repr(anova(log, relabeled)) == repr(numpy_anova(log, relabeled))
+
+    def test_benchmark_grid_is_numpy_table(self):
+        plan = full_factorial(load_space_file(SCENARIOS / "cpu_space_complete.json"), r=3, seed=7)
+        backend = SyntheticBackend(load_model_file(SCENARIOS / "smt_model.json"))
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        assert repr(anova(log, plan, alpha=0.05)) == repr(numpy_anova(log, plan, alpha=0.05))
+
+
+class TestSingleLevelFactor:
+    def test_rows_are_those_without_the_factor(self):
+        full = space_doc(dc_counts=(3, 1, 2))
+        without = copy.deepcopy(full)
+        del without["factors"][2]  # "t", with the one level t0
+        rng = random.Random(5)
+        values = {}
+
+        def fn(a, rep):
+            return values.setdefault((a["cpu"], a["w"], a["d"], rep), rng.gauss(20.0, 4.0))
+
+        with_t = run_anova(load_space(json.dumps(full)), fn, r=2)
+        without_t = run_anova(load_space(json.dumps(without)), fn, r=2)
+        assert [row.label for row in with_t.rows] == ["cpu", "w", "d", "cpu*w", "cpu*d", "w*d", "cpu*w*d"]
+        assert repr(with_t) == repr(without_t)
+
+    def test_cli_analyzes_a_space_with_a_single_level_factor(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "cpu_space_complete.json").read_text())
+        dataset = next(f for f in doc["factors"] if f["name"] == "dataset")
+        dataset["levels"] = dataset["levels"][:1]
+        space, plan, log = tmp_path / "space.json", tmp_path / "full.json", tmp_path / "full.jsonl"
+        space.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        assert main(["plan", "full", "--space", str(space), "--plan-out", str(plan), "--r", "2"]) == 0
+        assert main(["run", "--plan", str(plan), "--log", str(log), "--backend", backend]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "anova", "--plan", str(plan), "--log", str(log), "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        components = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert err == "" and len(components) == 15 + 1
+        assert not any("dataset" in c for c in components)

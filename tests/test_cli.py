@@ -19,8 +19,10 @@ from effattr import (
     SpaceError,
     StatsError,
     cli,
+    design,
     load_plan,
     load_space_file,
+    runner,
 )
 from effattr.cli import main
 from conftest import colliding_doc, space_doc
@@ -383,13 +385,13 @@ class TestRunCommand:
 
 
 class TestAnalyzeCommand:
-    def run_pipeline(self, ws, capsys, cui_a="ht_off"):
+    def run_pipeline(self, ws, capsys):
         plan_path = ws["dir"] / "an_plan.json"
         log_path = ws["dir"] / "an_log.jsonl"
         run_cli(
             capsys,
             "plan", "paired", "--space", ws["space"], "--plan-out", plan_path,
-            "--n", "4", "--r", "2", "--cui-a", cui_a, "--cui-ref", "ht_on", "--seed", "3",
+            "--n", "4", "--r", "2", "--cui-a", "ht_off", "--cui-ref", "ht_on", "--seed", "3",
         )
         run_cli(
             capsys, "run", "--plan", plan_path, "--log", log_path,
@@ -397,11 +399,16 @@ class TestAnalyzeCommand:
         )
         return plan_path, log_path
 
-    def test_self_paired_summary_line(self, ws, capsys):
-        plan_path, log_path = self.run_pipeline(ws, capsys, cui_a="ht_on")
-        code, out, _ = run_cli(capsys, "analyze", "effect", "--log", log_path, "--plan", plan_path)
-        assert code == 0
-        assert out.splitlines()[0] == "delta_e=0.000000 verdict=fail_to_reject"
+    def test_self_paired_plan_is_rejected(self, ws, capsys):
+        plan_path = ws["dir"] / "self_plan.json"
+        code, out, err = run_cli(
+            capsys,
+            "plan", "paired", "--space", ws["space"], "--plan-out", plan_path,
+            "--n", "4", "--r", "2", "--cui-a", "ht_on", "--cui-ref", "ht_on", "--seed", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: a paired plan needs two different CUI levels, got cui_a='ht_on' and cui_ref='ht_on'\n"
+        assert not plan_path.exists()
 
     def test_csv_is_pure_and_stable(self, ws, capsys):
         plan_path, log_path = self.run_pipeline(ws, capsys)
@@ -623,13 +630,25 @@ def test_other_errors_are_not_mapped_to_exit_codes(monkeypatch):
         main(["space", "size", "any.json"])
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is imported by ANOVA only; the CLI and the meta path start without it.
+def test_import_leaves_numpy_unloaded(ws):
+    # effattr needs no numpy: not to import, and not for an ANOVA either.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, effattr, effattr.cli; print('numpy' in sys.modules)"
+    plan, log = ws["dir"] / "full.json", ws["dir"] / "full.jsonl"
+    steps = [
+        ["plan", "full", "--space", ws["space"], "--plan-out", plan, "--r", "2"],
+        ["run", "--plan", plan, "--log", log, "--backend", f"synthetic:{ws['model']}"],
+        ["analyze", "anova", "--plan", plan, "--log", log, "--out", ws["dir"] / "table.md"],
+    ]
+    code = (
+        "import sys, effattr, effattr.cli; print('numpy' in sys.modules); "
+        f"print([effattr.cli.main(argv) for argv in {[[str(a) for a in step] for step in steps]!r}], "
+        "'numpy' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "[0, 0, 0] False")
+    assert (ws["dir"] / "table.md").read_text().startswith("| component |")
 
 
 def accepted_options() -> dict[tuple[str, str | None], set[str]]:
@@ -843,6 +862,29 @@ class TestCyclicGcPause:
         with pytest.raises(KeyError):
             main(["space", "size", "any.json"])
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("loader", ["load_plan", "plan_from_json", "RunLog.load"])
+    def test_loaders_pause_the_gc_and_leave_it_as_they_found_it(self, ws, capsys, monkeypatch, loader, enabled):
+        plan_path, log_path = ws["dir"] / "full.json", ws["dir"] / "full.jsonl"
+        run_cli(capsys, "plan", "full", "--space", ws["space"], "--plan-out", plan_path, "--r", "2")
+        run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"synthetic:{ws['model']}")
+        bad = ws["dir"] / "bad.txt"
+        bad.write_text("{not json\n")
+        load, good, error = {
+            "load_plan": (design.load_plan, plan_path, PlanError),
+            "plan_from_json": (design.plan_from_json, plan_path.read_text(), PlanError),
+            "RunLog.load": (runner.RunLog.load, log_path, RunError),
+        }[loader]
+        seen, real = [], design.plan_from_dict
+        monkeypatch.setattr(design, "plan_from_dict", lambda doc: seen.append(gc.isenabled()) or real(doc))
+        (gc.enable if enabled else gc.disable)()
+        load(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            load(bad if loader != "plan_from_json" else bad.read_text())
+        assert gc.isenabled() is enabled
+        assert seen == ([] if loader == "RunLog.load" else [False])
 
     def test_a_command_runs_with_the_gc_paused(self, monkeypatch, capsys):
         gc.enable()

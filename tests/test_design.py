@@ -312,11 +312,11 @@ class TestPairedPlan:
     def test_empty_sample(self, small_space):
         assert paired_plan(small_space, "ht_off", "ht_on", [], r=3).trials == ()
 
-    def test_self_pairing_shares_config_id(self, small_space):
+    def test_self_pairing_is_rejected(self, small_space):
         dc = simple_random_sample(small_space, ("DC",), 4, seed=0)
-        plan = paired_plan(small_space, "ht_on", "ht_on", dc, r=1)
-        for i in range(0, len(plan.trials), 2):
-            assert plan.trials[i].config.id == plan.trials[i + 1].config.id
+        with pytest.raises(PlanError) as err:
+            paired_plan(small_space, "ht_on", "ht_on", dc, r=1)
+        assert str(err.value) == "a paired plan needs two different CUI levels, got cui_a='ht_on' and cui_ref='ht_on'"
 
     def test_arms_adjacent_and_pairwise_consistent(self, small_space):
         dc = simple_random_sample(small_space, ("DC",), 6, seed=8)

@@ -378,6 +378,21 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="unknown method kind"):
             load_scenario(json.dumps(doc))
 
+    def test_one_cui_level_on_both_sides_rejected_for_a_paired_row(self):
+        doc = self.doc()
+        doc["cui_a"] = "ht_on"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(json.dumps(doc))
+        assert str(err.value) == "a paired method needs two different CUI levels, got cui_a='ht_on' and cui_ref='ht_on'"
+
+    def test_one_cui_level_on_both_sides_allowed_for_rct(self):
+        # An A/A rct is a calibration check: its interval should cover 0.
+        doc = self.doc(iterations=3)
+        doc["cui_a"] = "ht_on"
+        doc["methods"] = [{"kind": "rct", "n": 6}]
+        (row,) = accuracy_cost(load_scenario(json.dumps(doc)))
+        assert row.accuracy == 1.0
+
     def test_unknown_cui_level_rejected(self):
         doc = self.doc()
         doc["cui_a"] = "missing"

@@ -534,6 +534,45 @@ class TestRunLogTypes:
         loaded.close()
         assert loaded.records == [Measurement("c0", 0, 2, "synthetic", 1)]
 
+    def test_records_read_at_once_as_line_by_line(self, tmp_path):
+        # Blank lines, whitespace around a record, a failed record and an
+        # integer value: what the line-by-line reading of them gives.
+        failed = {**self.RECORD, "config_id": "c1", "value": None, "status": "failed", "reason": "boom"}
+        text = "".join(json.dumps(doc) + "\n" for doc in (self.HEADER, self.RECORD))
+        text += "\n \r\n\t" + json.dumps(failed) + "  \n"
+        text += json.dumps({**self.RECORD, "replicate": 1, "value": 3}) + "\n"
+        path = tmp_path / "log.jsonl"
+        path.write_text(text)
+        loaded = RunLog.load(path)
+        loaded.close()
+        assert loaded.records == [
+            Measurement("c0", 0, 1.5, "synthetic", 0.0),
+            Measurement("c1", 0, None, "synthetic", 0.0, "failed", "boom"),
+            Measurement("c0", 1, 3, "synthetic", 0.0),
+        ]
+
+    def test_a_line_of_other_blank_is_skipped(self, tmp_path):
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, self.RECORD)
+        path.write_text(path.read_text() + "\u2003\n")
+        loaded = RunLog.load(path)
+        loaded.close()
+        assert loaded.records == [Measurement("c0", 0, 1.5, "synthetic", 0.0)]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (json.dumps(RECORD), "duplicate measurement for ('c0', 0)"),
+            (json.dumps({**RECORD, "replicate": 1}) + " " + json.dumps(RECORD), ":3: malformed record: Extra data"),
+            (json.dumps({**RECORD, "status": "pending"}), ":3: malformed record: measurement status must be"),
+            (json.dumps({**RECORD, "value": float("nan")}), ":3: malformed record: measurement c0/0: value must be"),
+        ],
+    )
+    def test_a_bad_record_among_good_ones_named_as_line_by_line(self, tmp_path, line, message):
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, self.RECORD)
+        path.write_text(path.read_text() + line + "\n" + json.dumps({**self.RECORD, "replicate": 5}) + "\n")
+        with pytest.raises(RunError, match=re.escape(message)):
+            RunLog.load(path)
+
     @pytest.mark.parametrize("field", ["space_digest", "plan_digest", "backend", "unit"])
     @pytest.mark.parametrize("bad", [5, None, True, "absent"])
     def test_mistyped_or_missing_header_field_rejected(self, tmp_path, field, bad):

@@ -26,6 +26,7 @@ from effattr import (
     simple_random_sample,
     t_statistic,
 )
+from effattr.design import plan_from_dict
 from effattr.special import betainc_inv
 from effattr.stats import f_quantile, t_quantile
 
@@ -184,8 +185,20 @@ def run_paired(space, model, cui_a, cui_ref, dc, r=2, seed=0, **kwargs):
 
 class TestPairedEffect:
     def test_self_pairing_is_exactly_zero(self, small_space, plain_model):
+        # paired_plan rejects one CUI level on both arms, but a plan file may
+        # still hold one: both arms of every pair set cpu=ht_on.
         dc = simple_random_sample(small_space, ("DC",), 6, seed=1)
-        est, _, _ = run_paired(small_space, plain_model, "ht_on", "ht_on", dc)
+        doc = paired_plan(small_space, "ht_off", "ht_on", dc, r=2).to_dict()
+        doc["metadata"]["cui_a"] = "ht_on"
+        for trial in doc["trials"]:
+            trial["assignment"]["cpu"] = "ht_on"
+        plan = plan_from_dict(doc)
+        backend = SyntheticBackend(plain_model)
+        log = new_log(plan, backend)
+        from effattr import run
+
+        run(plan, backend, log)
+        est = paired_effect(log, plan)
         assert est.delta_e == 0.0
         assert est.verdict == "fail_to_reject"
 
