@@ -6,11 +6,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import struct
 import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _json_str  # the C encoder where built
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 # Unit separator between ``derive_seed`` parts. Labels may contain it, but
 # each call site passes a fixed number of parts of which at most one is free
@@ -66,10 +67,21 @@ def assignment_id(assignment: dict[str, str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:32]
 
 
+# A seed is the first 8 bytes of the SHA-256 digest of its parts, big-endian.
+_seed_of = struct.Struct(">Q").unpack_from
+
+
 def derive_seed(*parts: object) -> int:
     """Deterministic 64-bit seed from an arbitrary tuple of parts."""
-    raw = hashlib.sha256(_SEP.join(map(str, parts)).encode("utf-8")).digest()
-    return int.from_bytes(raw[:8], "big")
+    return _seed_of(hashlib.sha256(_SEP.join(map(str, parts)).encode("utf-8")).digest())[0]
+
+
+def derive_seeds(parts: Sequence[object], lasts: Iterable[object]) -> list[int]:
+    """``[derive_seed(*parts, last) for last in lasts]``, with the text of
+    ``parts`` joined once, by ``derive_seed``'s rule, rather than per seed."""
+    head = _SEP.join(map(str, (*parts, "")))  # ends in the separator before ``last``
+    sha256, seed_of = hashlib.sha256, _seed_of
+    return [seed_of(sha256((head + str(last)).encode("utf-8")).digest())[0] for last in lasts]
 
 
 # -- document fields -----------------------------------------------------------

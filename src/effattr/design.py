@@ -193,6 +193,10 @@ _METADATA = {
 _METADATA_FACTOR = {"name": Kind("text"), "labels": Kind("array", each=Kind("text"))}
 
 
+def _self_paired(cui_a: str, cui_ref: str) -> str:
+    return f"a paired plan needs two different CUI levels, got cui_a={cui_a!r} and cui_ref={cui_ref!r}"
+
+
 def _malformed(message: str) -> PlanError:
     return PlanError(f"malformed plan document: {message}")
 
@@ -219,7 +223,9 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
         raise _malformed(f"r: must be >= 1, got {r}")
     if method not in _WRITES:
         raise _malformed(f"method: must be one of {', '.join(map(repr, _WRITES))}, got {method!r}")
-    factors, *_ = read(metadata, _METADATA, _malformed, ("metadata",))
+    factors, _, cui_a, cui_ref = read(metadata, _METADATA, _malformed, ("metadata",))
+    if method == "paired" and cui_a is not None and cui_a == cui_ref:
+        raise _malformed(f"metadata: {_self_paired(cui_a, cui_ref)}")
     for i, f in enumerate(factors):
         read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
     # The loop checks each trial before the first mistyped one or the first
@@ -590,7 +596,7 @@ def paired_plan(
     """
     require_replicates(r)
     if cui_a == cui_ref:
-        raise PlanError(f"a paired plan needs two different CUI levels, got cui_a={cui_a!r} and cui_ref={cui_ref!r}")
+        raise PlanError(_self_paired(cui_a, cui_ref))
     if len({dc.id for dc in dc_sample}) != len(dc_sample):
         raise PlanError("dc_sample contains duplicate configurations; pair ids must be unique")
     units = []

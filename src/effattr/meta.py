@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ._util import Kind, derive_seed, parse_json, read
+from ._util import Kind, derive_seed, derive_seeds, parse_json, read
 from .design import (
     DesignPlan,
     PlanError,
@@ -143,11 +143,14 @@ class ScenarioTable:
     def replicates(self, completion: tuple[str | None, float], r: int, seed: int) -> list[float]:
         """The r values a synthetic run logs for one configuration.
 
-        Same per-trial seed and noise draw as ``SyntheticBackend.measure``;
-        without noise the seeds are unused and not derived. Method rows of
-        one iteration share its seed and often draw the same configurations
-        (top-n draws nest), so the current seed's values are kept, per
-        completion id in replicate order, and dropped when the seed changes.
+        Same per-trial seed and noise draw as ``SyntheticBackend.measure``:
+        replicate ``rep`` is seeded by ``derive_seed(seed, cid, rep)``, and
+        the replicates still missing take their seeds from one text of
+        (seed, cid). Without noise the seeds are unused and not derived.
+        Method rows of one iteration share its seed and often draw the same
+        configurations (top-n draws nest), so the current seed's values are
+        kept, per completion id in replicate order, and dropped when the
+        seed changes.
         """
         cid, response = completion
         sd = self.model.noise_sd
@@ -157,8 +160,8 @@ class ScenarioTable:
             self._seed = seed
             self._draws.clear()
         values = self._draws.setdefault(cid, [])
-        for rep in range(len(values), r):
-            values.append(response + gauss_noise(derive_seed(seed, cid, rep), sd))
+        if len(values) < r:
+            values += [response + gauss_noise(s, sd) for s in derive_seeds((seed, cid), range(len(values), r))]
         return values[:r]
 
 
@@ -308,19 +311,21 @@ def _paired_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> Effe
         idx = sample_indices(space, (ROLE_DC,), method.n, seed)
     require_replicates(method.r)
     col_a, col_ref = table.column(scenario.cui_a), table.column(scenario.cui_ref)
-    cui = space.cui_factor.name
-    pairs = []
-    for i in idx:
-        for side, col, lab in (("a", col_a, scenario.cui_a), ("b", col_ref, scenario.cui_ref)):
-            if col[i] is None:
-                raise PlanError(
-                    f"pairing error on side {side}: completion with {cui}={lab!r} is excluded"
-                )
-        pairs.append((col_a[i], col_ref[i]))
+    side_a, side_ref = [col_a[i] for i in idx], [col_ref[i] for i in idx]
+    if None in side_a or None in side_ref:
+        # The first pair with an excluded completion, side a before side b.
+        side, lab = next(
+            ("a", scenario.cui_a) if a is None else ("b", scenario.cui_ref)
+            for a, ref in zip(side_a, side_ref)
+            if a is None or ref is None
+        )
+        raise PlanError(
+            f"pairing error on side {side}: completion with {space.cui_factor.name}={lab!r} is excluded"
+        )
+    replicates, r, how = table.replicates, method.r, scenario.aggregate
     diffs = tuple(
-        aggregate(table.replicates(a, method.r, seed), scenario.aggregate)
-        - aggregate(table.replicates(ref, method.r, seed), scenario.aggregate)
-        for a, ref in pairs
+        aggregate(replicates(a, r, seed), how) - aggregate(replicates(ref, r, seed), how)
+        for a, ref in zip(side_a, side_ref)
     )
     return one_sample_ttest(DiffSample(diffs, unit=scenario.model.unit), alpha=scenario.alpha)
 

@@ -8,6 +8,7 @@ declared DC level weights is available in closed form.
 from __future__ import annotations
 
 import _random
+import threading
 from dataclasses import dataclass, field
 from math import cos, log, sqrt, tau
 from pathlib import Path
@@ -21,16 +22,25 @@ class ModelError(ValueError):
     """Raised for malformed model documents."""
 
 
+_generators = threading.local()  # one (seed, random) pair of bound methods per thread
+
+
 def gauss_noise(seed: int, sd: float) -> float:
     """``random.Random(seed).gauss(0.0, sd)``, bit for bit, at less cost.
 
-    The C constructor seeds MT19937 once, where ``random.Random(seed)``
-    seeds it twice; the first draw of ``gauss`` is then computed inline
-    with the same float operations. Every synthetic noise draw goes
-    through here, and each call has its own generator, so it is safe in
-    threads.
+    Each thread keeps one C generator and reseeds it for every draw:
+    seeding MT19937 once, where ``random.Random(seed)`` seeds it twice,
+    and building no generator per draw. The first draw of ``gauss`` is
+    then computed inline with the same float operations. Every synthetic
+    noise draw goes through here; no generator is shared between threads,
+    so it is safe in threads.
     """
-    rnd = _random.Random(seed).random
+    try:
+        reseed, rnd = _generators.methods
+    except AttributeError:
+        generator = _random.Random()
+        reseed, rnd = _generators.methods = generator.seed, generator.random
+    reseed(seed)
     x2pi = rnd() * tau
     g2rad = sqrt(-2.0 * log(1.0 - rnd()))
     return 0.0 + cos(x2pi) * g2rad * sd
@@ -52,11 +62,16 @@ class SyntheticModel:
     noise_sd: float = 0.0
     unit: str = "units"
     _cache: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
+    # Each interaction's terms as a set of (factor, label) items, for ``_evaluate``.
+    _term_sets: tuple[tuple[frozenset[tuple[str, str]], float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.noise_sd < 0:
             raise ModelError("noise_sd must be >= 0")
         self.main_effects = dict(self.main_effects)
+        self._term_sets = tuple((frozenset(terms), effect) for terms, effect in self.interactions)
 
     def response(self, config: Configuration) -> float:
         """Exact noise-free response for a total configuration, cached per id."""
@@ -71,8 +86,9 @@ class SyntheticModel:
         # order in which the assignment was built.
         for fname, label in sorted(assignment.items()):
             value += self.main_effects.get((fname, label), 0.0)
-        for terms, effect in self.interactions:
-            if all(assignment.get(f) == lab for f, lab in terms):
+        items = assignment.items()
+        for terms, effect in self._term_sets:
+            if items >= terms:  # every (factor, label) term is in the assignment
                 value += effect
         return value
 

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import shlex
-import statistics
 import subprocess
 import sys
 import time
@@ -469,14 +468,17 @@ AGGREGATE_METHODS = ("mean", "median")
 
 
 def aggregate(values: Iterable[float], method: str = "median") -> float:
-    """Collapse replicate measurements to one number."""
-    vals = list(values)
-    if not vals:
+    """Collapse replicate measurements to one number: ``statistics.median``
+    or ``statistics.fmean``, in their float operations."""
+    vals = sorted(values) if method == "median" else list(values)
+    n = len(vals)
+    if not n:
         raise RunError("aggregate: empty input")
-    if method == "mean":
-        return statistics.fmean(vals)
     if method == "median":
-        return statistics.median(vals)
+        i = n // 2
+        return vals[i] if n % 2 else (vals[i - 1] + vals[i]) / 2
+    if method == "mean":
+        return math.fsum(vals) / n
     raise RunError(f"unknown aggregation method {method!r}")
 
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from effattr import (
+    PlanError,
     SyntheticBackend,
     SyntheticModel,
     ate,
@@ -204,6 +205,29 @@ def test_error_type_equals_reference(space_text, method, noise_sd):
     for seed in SEEDS:
         result = assert_same(lambda: scenario(space_text, noise_sd), method, seed)
         assert isinstance(result, type) and issubclass(result, Exception)
+
+
+@pytest.mark.parametrize(
+    "exclusions",
+    [
+        ({"cpu": "ht_off", "w": "w1"},),
+        ({"cpu": "ht_on", "w": "w1"},),
+        # both sides excluded, next to different strata: the first pair decides
+        ({"cpu": "ht_on", "w": "w1"}, {"cpu": "ht_off", "w": "w2"}),
+        ({"cpu": "ht_off", "w": "w0"}, {"cpu": "ht_on", "w": "w3"}),
+    ],
+)
+def test_pairing_error_equals_the_plans(exclusions):
+    # The first pair with an excluded completion is named, side a before
+    # side b, in the words of ``paired_plan``.
+    for seed in SEEDS:
+        messages = []
+        for fn in (reference, _one_iteration):
+            with pytest.raises(PlanError) as caught:
+                fn(scenario(space_json(exclusions=exclusions), 0.8), PAIRED_STRATIFIED, seed)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("pairing error on side ")
 
 
 def test_bad_aggregate_rejected_at_construction():

@@ -41,6 +41,26 @@ def test_permuted_assignments_give_bit_equal_responses(levels, baseline, rng):
     assert a.hex() == b.hex()
 
 
+LABELS = st.sampled_from(("x", "y", "z"))
+# Terms may name one factor twice, and name "d", which no assignment holds.
+TERMS = st.lists(st.tuples(st.sampled_from("abcd"), LABELS), min_size=1, max_size=4).map(tuple)
+
+
+@given(
+    st.dictionaries(st.sampled_from("abc"), LABELS),
+    st.lists(st.tuples(TERMS, st.sampled_from((1.0, 0.5, -2.0))), max_size=4).map(tuple),
+)
+def test_interaction_terms_match_as_in_the_per_term_form(assignment, interactions):
+    # The per-term form the model once used is the oracle for matching an
+    # interaction's terms as a subset of the assignment's items.
+    want = 0.0
+    for terms, effect in interactions:
+        if all(assignment.get(f) == lab for f, lab in terms):
+            want += effect
+    got = SyntheticModel(interactions=interactions)._evaluate(assignment)
+    assert got.hex() == want.hex()
+
+
 def test_completions_match_responses():
     space = load_space(
         {

@@ -1,20 +1,29 @@
 """One noise path: ``model.gauss_noise`` and the draws meta-evaluation reuses.
 
 ``gauss_noise(seed, sd)`` must equal ``random.Random(seed).gauss(0.0, sd)``
-bit for bit; that expression stays here as the oracle. The meta table keeps
-one iteration's draws and ``accuracy_cost`` runs iteration-major, so
-estimates must not depend on the order in which method rows and seeds are
-visited. ``tests/test_runner.py`` checks that a noisy run log does not
-depend on the runner's parallelism, on the bundled SMT model too.
+bit for bit; that expression stays here as the oracle. Each thread reseeds
+one generator per draw, so a draw must not depend on the draw before it or
+on other threads drawing at once. The meta table's replicate seeds, derived
+from one text per (seed, configuration id), must equal ``derive_seed``'s.
+The meta table keeps one iteration's draws and ``accuracy_cost`` runs
+iteration-major, so estimates must not depend on the order in which method
+rows and seeds are visited. ``tests/test_runner.py`` checks that a noisy run
+log does not depend on the runner's parallelism, on the bundled SMT model
+too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from effattr import (
     SyntheticBackend,
@@ -25,7 +34,7 @@ from effattr import (
     new_log,
     run,
 )
-from effattr._util import derive_seed
+from effattr._util import derive_seed, derive_seeds
 from effattr.meta import AccuracyRow, _one_iteration, accuracy_cost
 from effattr.model import gauss_noise
 
@@ -52,6 +61,62 @@ def test_gauss_noise_equals_oracle_on_derived_seeds():
         sd = SDS[i % 3]
         got, want = gauss_noise(seed, sd), oracle(seed, sd)
         assert got == want, (seed, sd, got, want)
+
+
+def test_a_draw_after_a_draw_at_another_seed_equals_oracle():
+    # Each thread reseeds one generator per draw: no state of the draw
+    # before may reach the next, whatever seed or sd it had.
+    previous = [(1, 0.8), (2**64 - 1, 1e300), (5, 0.8), (5, 0.8)]
+    for (before, sd_before), (seed, sd) in zip(previous, previous[1:] + [(0, 1e-300)]):
+        gauss_noise(before, sd_before)
+        assert gauss_noise(seed, sd) == oracle(seed, sd)
+
+
+def test_threads_drawing_interleaved_equal_oracle():
+    n_threads, draws = 4, 3_000
+    results: dict[int, list[tuple[float, float]]] = {}
+    start = threading.Barrier(n_threads)
+
+    def draw(t: int) -> None:
+        start.wait(timeout=60)
+        got = []
+        for i in range(draws):
+            seed = derive_seed(t, f"cfg{i % 97}", i)
+            got.append((gauss_noise(seed, SDS[i % 3]), oracle(seed, SDS[i % 3])))
+        results[t] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between draws, often mid-draw
+    try:
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(n_threads))
+    for t, pairs in results.items():
+        assert [got for got, _ in pairs] == [want for _, want in pairs], t
+
+
+@given(
+    st.integers(-(2**64), 2**64 - 1) | st.sampled_from(EDGE_SEEDS) | st.sampled_from((-1, -(2**63))),
+    st.text() | st.sampled_from(("", "\x1f", "a\x1fb", "\x1f\x1f", "é\x1f中", "ü")),
+    st.integers(0, 6),
+    st.integers(0, 4),
+)
+@example(-1, "\x1f", 3, 2)
+@example(2**64 - 1, "é\x1fcfg", 1, 3)
+def test_seeds_from_one_prefix_equal_derive_seed(seed, cid, start, count):
+    reps = range(start, start + count)
+    want = [derive_seed(seed, cid, rep) for rep in reps]
+    assert derive_seeds((seed, cid), reps) == want
+    # derive_seed itself, spelled out: the first 8 bytes, big-endian, of the
+    # SHA-256 of the parts' texts joined by the unit separator.
+    texts = [f"{seed}\x1f{cid}\x1f{rep}".encode("utf-8") for rep in reps]
+    assert want == [int.from_bytes(hashlib.sha256(text).digest()[:8], "big") for text in texts]
 
 
 def smt_scenario(mixed_r: bool = False):

@@ -4,6 +4,7 @@ the configurations a plan uses."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -16,12 +17,16 @@ import effattr.space as space_module
 from effattr import (
     Configuration,
     PlanError,
+    SyntheticBackend,
+    SyntheticModel,
     factorial_2kr,
     full_factorial,
     load_space,
     load_space_file,
+    new_log,
     paired_plan,
     rct_plan,
+    run,
     simple_random_sample,
     stratified_sample,
 )
@@ -261,6 +266,41 @@ def test_loader_names_the_mistyped_field_instead_of_coercing_it(path, value, mes
     code = main(["run", "--plan", str(plan_path), "--log", str(tmp_path / "log.jsonl"), "--backend", f"synthetic:{model_path}"])
     assert code == 1
     assert capsys.readouterr().err == f"error: malformed plan document: {message}\n"
+
+
+def test_loader_rejects_a_paired_plan_of_one_cui_level(tmp_path, capsys):
+    # Both arms of every pair set cpu=ht_on, as a file written by hand, or by
+    # a paired_plan without its two-level rule, holds them.
+    space = load_space(SPACE)
+    plan = BUILDERS["paired"](space, 2)
+    self_paired = dataclasses.replace(
+        plan,
+        trials=tuple(t._replace(config=t.config.extended({"cpu": "ht_on"})) for t in plan.trials),
+        metadata={**plan.metadata, "cui_a": "ht_on"},
+    )
+    message = "malformed plan document: metadata: a paired plan needs two different CUI levels, got cui_a='ht_on' and cui_ref='ht_on'"
+    with pytest.raises(PlanError) as caught:
+        plan_from_json(plan_to_json(self_paired))
+    assert str(caught.value) == message
+    with pytest.raises(PlanError) as caught:
+        paired_plan(space, "ht_on", "ht_on", [], 1)
+    assert message.endswith(str(caught.value))
+    # Neither ``run`` nor ``analyze effect`` reads such a file; the log is
+    # one that such a plan, run in memory, writes.
+    plan_path, model_path, log_path = tmp_path / "plan.json", tmp_path / "model.json", tmp_path / "log.jsonl"
+    plan_path.write_text(plan_to_json(self_paired))
+    model_path.write_text("{}")
+    backend = SyntheticBackend(SyntheticModel())
+    log = new_log(self_paired, backend, log_path)
+    run(self_paired, backend, log)
+    log.close()
+    for argv in (
+        ["run", "--plan", plan_path, "--log", tmp_path / "new.jsonl", "--backend", f"synthetic:{model_path}"],
+        ["analyze", "effect", "--plan", plan_path, "--log", log_path],
+    ):
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "new.jsonl").exists()
 
 
 def test_paired_planning_hashes_only_the_configurations_it_uses(tmp_path, monkeypatch):

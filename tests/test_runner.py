@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import statistics
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from effattr import (
@@ -278,6 +279,22 @@ class TestAggregate:
     def test_unknown_method_rejected(self):
         with pytest.raises(RunError, match="unknown aggregation"):
             aggregate([1.0], "mode")
+
+    # Replicate values: signed zeros and magnitudes from 1e-300 to 1e300.
+    VALUES = st.lists(
+        st.sampled_from((0.0, -0.0))
+        | st.builds(math.copysign, st.floats(1e-300, 1e300), st.sampled_from((1.0, -1.0))),
+        min_size=1,
+        max_size=7,
+    )
+
+    @given(VALUES)
+    @example([5e-324, 5e-324])  # halved one by one, each rounds to 0.0
+    def test_equals_statistics_bit_for_bit(self, values):
+        # ``statistics`` is the oracle; ``runner`` takes the same float steps.
+        for method, oracle in (("median", statistics.median), ("mean", statistics.fmean)):
+            got, want = aggregate(iter(values), method), oracle(values)
+            assert (type(got), got.hex()) == (type(want), want.hex()), (method, values)
 
 
 class TestCollapse:

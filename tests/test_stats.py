@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -26,7 +27,6 @@ from effattr import (
     simple_random_sample,
     t_statistic,
 )
-from effattr.design import plan_from_dict
 from effattr.special import betainc_inv
 from effattr.stats import f_quantile, t_quantile
 
@@ -185,14 +185,15 @@ def run_paired(space, model, cui_a, cui_ref, dc, r=2, seed=0, **kwargs):
 
 class TestPairedEffect:
     def test_self_pairing_is_exactly_zero(self, small_space, plain_model):
-        # paired_plan rejects one CUI level on both arms, but a plan file may
-        # still hold one: both arms of every pair set cpu=ht_on.
+        # paired_plan and plan_from_dict reject one CUI level on both arms, so
+        # the plan is built in memory: both arms of every pair set cpu=ht_on.
         dc = simple_random_sample(small_space, ("DC",), 6, seed=1)
-        doc = paired_plan(small_space, "ht_off", "ht_on", dc, r=2).to_dict()
-        doc["metadata"]["cui_a"] = "ht_on"
-        for trial in doc["trials"]:
-            trial["assignment"]["cpu"] = "ht_on"
-        plan = plan_from_dict(doc)
+        plan = paired_plan(small_space, "ht_off", "ht_on", dc, r=2)
+        plan = dataclasses.replace(
+            plan,
+            trials=tuple(t._replace(config=t.config.extended({"cpu": "ht_on"})) for t in plan.trials),
+            metadata={**plan.metadata, "cui_a": "ht_on"},
+        )
         backend = SyntheticBackend(plain_model)
         log = new_log(plan, backend)
         from effattr import run
