@@ -9,6 +9,9 @@ values one after another from 0.0; up to 128 in 8 lanes, combined as
 ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; more in two halves
 split at a multiple of 8. Arrays are flat lists in C order, and each
 element-wise step is a C-level pass (``map``, slices, list repetition).
+Each step has one shape, that of numpy's own loop: an effect starts at 0.0
+over its subset's whole grid and adds each term's marginal broadcast to
+that grid, and each run is summed on its own.
 
 Only ``stats.anova`` imports this module, when it runs: compiling it would
 raise the peak memory of every process that imports effattr.
@@ -20,7 +23,7 @@ import itertools
 import math
 from functools import reduce
 from itertools import chain, repeat
-from operator import add, attrgetter, mul, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import Collection, Iterable, Iterator, Sequence
 
 PAIRWISE_BLOCK = 128
@@ -40,29 +43,9 @@ def pairwise(xs: list[float], lo: int, hi: int) -> float:
     return pairwise(xs, lo, lo + half) + pairwise(xs, lo + half, hi)
 
 
-def run_sums(xs: list[float], size: int, lo: int = 0, n: int | None = None) -> list[float]:
-    """``pairwise`` of positions ``lo .. lo + n - 1`` (all by default) of
-    each run of ``size`` consecutive values; a few long runs one at a time,
-    many short ones a position of every run at a time."""
-    if n is None:
-        if size == 1:
-            return xs
-        if len(xs) * 8 <= size * size:
-            return [pairwise(xs, b, b + size) for b in range(0, len(xs), size)]
-        n = size
-
-    def add_at(acc: list[float], positions: range) -> list[float]:  # each run's value at each position, in turn
-        return reduce(lambda acc, p: list(map(add, acc, xs[p::size])), positions, acc)
-
-    if n < 8:
-        return add_at([0.0] * (len(xs) // size), range(lo, lo + n))
-    if n <= PAIRWISE_BLOCK:
-        tail = lo + n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = [add_at(xs[j::size], range(j + 8, tail, 8)) for j in range(lo, lo + 8)]
-        lanes = map(add, map(add, map(add, r0, r1), map(add, r2, r3)), map(add, map(add, r4, r5), map(add, r6, r7)))
-        return add_at(list(lanes), range(tail, lo + n))
-    half = n // 2 - n // 2 % 8
-    return list(map(add, run_sums(xs, size, lo, half), run_sums(xs, size, lo + half, n - half)))
+def run_sums(xs: list[float], size: int) -> list[float]:
+    """``pairwise`` of each run of ``size`` consecutive values."""
+    return [pairwise(xs, b, b + size) for b in range(0, len(xs), size)]
 
 
 def offsets(dims: Sequence[int], strides: Sequence[int]) -> list[int]:
@@ -78,15 +61,9 @@ def spread(xs: list[float], dims: Sequence[int], kept: Collection[int]) -> list[
     """``xs``, a C-order array over the axes ``kept`` of ``dims``, broadcast to all of ``dims``."""
     block = 1  # values per index of the axes after the current one
     for i in reversed(range(len(dims))):
-        d = dims[i]
-        if i not in kept and d > 1:
-            if block == len(xs):
-                xs = xs * d
-            elif block == 1:
-                xs = list(chain.from_iterable(zip(*[xs] * d)))
-            else:
-                xs = list(chain.from_iterable(map(mul, chunks(xs, block), repeat(d))))
-        block *= d
+        if i not in kept:
+            xs = list(chain.from_iterable(map(mul, chunks(xs, block), repeat(dims[i]))))
+        block *= dims[i]
     return xs
 
 
@@ -147,40 +124,19 @@ def effects(
     marginals: dict[tuple[int, ...], list[float]], dims: list[int], factors: list[int]
 ) -> Iterator[tuple[tuple[int, ...], list[float]]]:
     """The effect of each subset of ``factors`` over its grid, smaller subsets
-    first. numpy adds ``sign * marginal`` of each subset of it to 0.0,
-    smaller subsets first; a cell's sums here span only the axes that its
-    terms so far have, until they have them all.
-
-    A complex number carries one cell of each half of the subset's first
-    factor's levels (the second half padded to as many), so that one complex
-    addition does two float additions.
-    """
-    packed: dict[tuple[int, tuple[int, ...]], list[complex]] = {}  # by (first factor, marginal's subset)
+    first, as numpy took it: each cell starts at 0.0 and adds ``sign *
+    marginal`` of each subset of the subset, spread to its grid, smaller
+    subsets first."""
     for order in range(1, len(factors) + 1):
         for subset in itertools.combinations(factors, order):
-            first = subset[0]
-            d = dims[first]
-            half = (d + 1) // 2
-            grid = [half] + [dims[i] for i in subset[1:]]
-            cells, span = [0j], 0  # the sums so far, over the first ``span`` axes of ``grid``
+            grid = [dims[i] for i in subset]
+            cells = [0.0] * math.prod(grid)
             for t_order in range(order + 1):
                 step = add if (order - t_order) % 2 == 0 else sub
                 for t_subset in itertools.combinations(subset, t_order):
                     axes = [subset.index(i) for i in t_subset]
-                    if axes and axes[-1] >= span:
-                        cells = spread(cells, grid[: axes[-1] + 1], range(span))
-                        span = axes[-1] + 1
-                    key = (first, t_subset)
-                    if key not in packed:
-                        single = marginals[t_subset]
-                        if t_subset[:1] == (first,):  # cells of the first half with those of the second
-                            cut = len(single) // d * half
-                            packed[key] = list(map(complex, single[:cut], single[cut:] + [0.0] * (2 * cut - len(single))))
-                        else:  # each value the same in both halves
-                            packed[key] = list(map(complex, single, single))
-                    cells = list(map(step, cells, spread(packed[key], grid[:span], axes)))
-            n_second = len(cells) // half * (d - half)
-            yield subset, list(map(attrgetter("real"), cells)) + list(map(attrgetter("imag"), cells[:n_second]))
+                    cells = list(map(step, cells, spread(marginals[t_subset], grid, axes)))
+            yield subset, cells
 
 
 def squares(xs: Iterable[float]) -> list[float]:

@@ -226,8 +226,15 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     factors, _, cui_a, cui_ref = read(metadata, _METADATA, _malformed, ("metadata",))
     if method == "paired" and cui_a is not None and cui_a == cui_ref:
         raise _malformed(f"metadata: {_self_paired(cui_a, cui_ref)}")
+    names: dict[str, int] = {}  # each factor's index, by name
     for i, f in enumerate(factors):
-        read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
+        name, labels = read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
+        if names.setdefault(name, i) != i:
+            raise _malformed(f"metadata.factors[{i}].name: {name!r} repeats metadata.factors[{names[name]}].name")
+        at: dict[str, int] = {}  # each label's index, by label
+        for j, label in enumerate(labels):
+            if at.setdefault(label, j) != j:
+                raise _malformed(f"metadata.factors[{i}].labels[{j}]: {label!r} repeats labels[{at[label]}]")
     # The loop checks each trial before the first mistyped one or the first
     # value the method never writes, in order, so the earliest error wins.
     columns, bad = read_rows(raw_trials, _TRIAL)

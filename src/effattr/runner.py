@@ -485,14 +485,8 @@ def aggregate(values: Iterable[float], method: str = "median") -> float:
 def collapse(log: RunLog, method: str = "median") -> dict[str, float]:
     """Each configuration's aggregate over its ok replicates, failed ones
     excluded; a configuration with no ok replicate raises."""
-    ok: dict[str, list[float]] = {}
-    failed: set[str] = set()
-    for m in log.records:
-        if m.status == "ok":
-            ok.setdefault(m.config_id, []).append(m.value)  # type: ignore[arg-type]
-        else:
-            failed.add(m.config_id)
-    dead = sorted(failed - ok.keys())
+    ok = log.ok_values()
+    dead = sorted({m.config_id for m in log.records if m.status != "ok"} - ok.keys())
     if dead:
         raise RunError(f"configurations with zero ok measurements: {dead}")
     return {cid: aggregate(vals, method) for cid, vals in ok.items()}

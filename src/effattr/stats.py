@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter, itemgetter, sub, truediv
+from operator import itemgetter, sub, truediv
 from typing import Callable, Hashable, Sequence
 
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial
@@ -420,20 +420,6 @@ def _measurements(log: RunLog, plan: DesignPlan, names: list[str], labels: list[
     then the replicate; the first trial without one is named."""
     r, k = plan.r, len(names)
     cells = list(itertools.product(*labels))
-    # A plan as full_factorial writes it, cells in C order and each cell's
-    # replicates in turn, is checked as a whole; another order or a fault
-    # goes trial by trial.
-    configs = list(map(itemgetter(0), plan.trials))
-    firsts, reps = configs[::r], list(range(r)) * len(cells)
-    if (
-        list(map(itemgetter(1), plan.trials)) == reps
-        and all(configs[j::r] == firsts for j in range(1, r))
-        and all(map(k.__eq__, map(len, map(attrgetter("assignment"), firsts))))
-        and list(map(tuple, map(map, map(attrgetter("assignment.get"), firsts), repeat(names)))) == cells
-    ):
-        values = list(map(log.ok_value, map(attrgetter("id"), configs), reps))
-        if None not in values:
-            return list(map(float, values))  # type: ignore[arg-type]
     start_of = dict(zip(cells, itertools.count(0, r)))  # by label tuple
     ys: list[float | None] = [None] * (len(cells) * r)
     starts: dict[int, int] = {}  # by Configuration object, which replicates share

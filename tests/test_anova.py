@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from effattr import (
 )
 from effattr._util import assignment_id
 from effattr.cli import main
-from effattr._sums import array_sum
+from effattr._sums import array_sum, effects, spread
 from effattr.stats import AnovaRow, ErrorRow, f_quantile
 from effattr.runner import Backend
 from conftest import space_doc
@@ -225,6 +226,47 @@ def _set_replicate(value):
     return edit
 
 
+def _trimmed_cpu_space(exclusions):
+    """``cpu_space.json`` with three levels of ``workload`` and of ``threads``:
+    126 valid configurations under its two exclusions, 162 without them."""
+    doc = json.loads((SCENARIOS / "cpu_space.json").read_text())
+    keep = {"workload": ("fluid_sim", "stencil", "fft"), "threads": ("t1", "t12", "t24")}
+    for f in doc["factors"]:
+        if f["name"] in keep:
+            f["levels"] = [level for level in f["levels"] if level["label"] in keep[f["name"]]]
+    if not exclusions:
+        doc["exclusions"] = []
+    return doc
+
+
+def _edit_factors(rng, factors):
+    """One random edit of a plan's ``metadata.factors``, in place; its name."""
+    f = rng.choice(factors) if factors else {"name": "new", "labels": []}
+    every_label = [lab for g in factors for lab in g["labels"]] + ["renamed"]
+    edits = {
+        "copy a factor": lambda: factors.insert(
+            rng.randrange(len(factors) + 1),
+            {"name": f["name"], "labels": rng.sample(f["labels"], rng.randrange(len(f["labels"]) + 1))},
+        ),
+        "repeat a label": lambda: f["labels"] and f["labels"].insert(
+            rng.randrange(len(f["labels"]) + 1), rng.choice(f["labels"])
+        ),
+        "drop a label": lambda: f["labels"] and f["labels"].pop(rng.randrange(len(f["labels"]))),
+        "drop every label": lambda: f["labels"].clear(),
+        "drop a factor": lambda: factors and factors.remove(f),
+        "rename a factor": lambda: f.update(name=rng.choice([g["name"] for g in factors] + ["renamed"])),
+        "relabel": lambda: f["labels"] and f["labels"].__setitem__(
+            rng.randrange(len(f["labels"])), rng.choice(every_label)
+        ),
+        "shuffle labels": lambda: rng.shuffle(f["labels"]),
+        "shuffle factors": lambda: rng.shuffle(factors),
+        "add a label": lambda: f["labels"].append(rng.choice(every_label)),
+    }
+    name = rng.choice(sorted(edits))
+    edits[name]()
+    return name
+
+
 class TestLoadedPlanChecks:
     """A loaded full plan whose trials do not fit its own structure exits 1."""
 
@@ -256,6 +298,66 @@ class TestLoadedPlanChecks:
             ),
         }[edit]
         assert (out, err) == ("", f"error: {expected}\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda factors: factors.insert(1, {"name": "smt", "labels": ["smt_on"]}),
+                "metadata.factors[1].name: 'smt' repeats metadata.factors[0].name",
+            ),
+            (
+                lambda factors: factors[2]["labels"].insert(1, "small"),
+                "metadata.factors[2].labels[1]: 'small' repeats labels[0]",
+            ),
+        ],
+        ids=["factor-twice", "label-twice"],
+    )
+    def test_repeated_factor_or_label_is_rejected_at_load(self, tmp_path, capsys, edit, message):
+        plan_path, log_path = tmp_path / "full.json", tmp_path / "full.jsonl"
+        argv = ["plan", "full", "--space", SCENARIOS / "cpu_space_complete.json", "--plan-out", plan_path]
+        assert main([str(a) for a in argv + ["--r", 3, "--seed", 7]]) == 0
+        doc = json.loads(plan_path.read_text())
+        edit(doc["metadata"]["factors"])
+        plan_path.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        expected = ("", f"error: malformed plan document: {message}\n")
+        capsys.readouterr()
+        assert main(["run", "--plan", str(plan_path), "--log", str(log_path), "--backend", backend]) == 1
+        assert capsys.readouterr() == expected
+        assert main(["analyze", "anova", "--plan", str(plan_path), "--log", str(log_path)]) == 1
+        assert capsys.readouterr() == expected
+
+    def test_edited_factor_metadata_never_escapes(self, tmp_path, capsys):
+        """300 seeded edits of ``metadata.factors``, each run and analyzed
+        through ``main``: every step exits 0 or 1, with any error on stderr."""
+        rng = random.Random(20)
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        plans = {}
+        for exclusions in (True, False):
+            space_path, plan_path = tmp_path / "space.json", tmp_path / "full.json"
+            space_path.write_text(json.dumps(_trimmed_cpu_space(exclusions)))
+            argv = ["plan", "full", "--space", str(space_path), "--plan-out", str(plan_path), "--r", "2"]
+            assert main(argv + ["--seed", "7"]) == 0
+            plans[exclusions] = json.loads(plan_path.read_text())
+        escapes, exits = [], Counter()
+        for i in range(300):
+            doc = copy.deepcopy(plans[i % 2 == 0])
+            edits = [_edit_factors(rng, doc["metadata"]["factors"]) for _ in range(rng.randint(1, 3))]
+            plan_path, log_path = tmp_path / f"plan{i}.json", tmp_path / f"log{i}.jsonl"
+            plan_path.write_text(json.dumps(doc))
+            try:
+                code = main(["run", "--plan", str(plan_path), "--log", str(log_path), "--backend", backend])
+                if code == 0:
+                    code = main(["analyze", "anova", "--plan", str(plan_path), "--log", str(log_path)])
+            except BaseException as err:  # an escape of any kind is what the fuzz looks for
+                escapes.append((i, edits, repr(err)))
+                continue
+            out, err = capsys.readouterr()
+            assert code in (0, 1) and (code == 0) == (err == ""), (i, edits, code, err)
+            exits[code] += 1
+        assert escapes == []
+        assert exits[0] and exits[1]  # some edits leave a table, and some are refused
 
     @pytest.mark.parametrize("replicate", [10**30, -1, 2], ids=["replicate-huge", "replicate-negative", "replicate-r"])
     def test_replicate_outside_the_plan_is_rejected_at_load(self, tmp_path, capsys, replicate):
@@ -438,6 +540,14 @@ def reductions(draw):
     return x, axes
 
 
+def _mixed(rng, shape):
+    """Values of mixed magnitudes and signs; a few, or most, are zeros of either sign."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+    zero = rng.random(shape) < rng.choice([0.15, 0.9])
+    x[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
+    return x
+
+
 class TestNumpyOrder:
     @settings(max_examples=200, deadline=None)
     @given(reductions())
@@ -445,6 +555,45 @@ class TestNumpyOrder:
         x, axes = case
         expected = np.sum(x, axis=tuple(axes), keepdims=True).ravel().tolist()
         assert _bits(array_sum(x.ravel().tolist(), x.shape, axes)) == _bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        kept_bits=st.integers(0, 2**6 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spread_is_broadcast_to(self, dims, kept_bits, seed):
+        kept = [i for i in range(len(dims)) if kept_bits >> i & 1]
+        x = _mixed(np.random.default_rng(seed), [d if i in kept else 1 for i, d in enumerate(dims)])
+        expected = np.broadcast_to(x, dims).ravel().tolist()
+        assert _bits(spread(x.ravel().tolist(), dims, kept)) == _bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        factor_bits=st.integers(0, 2**5 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_effects_are_numpy_effects(self, dims, factor_bits, seed):
+        import itertools
+
+        factors = [i for i in range(len(dims)) if factor_bits >> i & 1]
+        rng = np.random.default_rng(seed)
+        marginals = {}  # any values, by subset, with numpy's keepdims shape
+        for order in range(len(factors) + 1):
+            for subset in itertools.combinations(factors, order):
+                marginals[subset] = _mixed(rng, [d if i in subset else 1 for i, d in enumerate(dims)])
+        flat = {subset: m.ravel().tolist() for subset, m in marginals.items()}
+        expected = []
+        for order in range(1, len(factors) + 1):
+            for subset in itertools.combinations(factors, order):
+                effect = np.zeros_like(marginals[subset])
+                for t_order in range(order + 1):
+                    sign = (-1) ** (order - t_order)
+                    for t_subset in itertools.combinations(subset, t_order):
+                        effect = effect + sign * marginals[t_subset]
+                expected.append((subset, _bits(effect.ravel().tolist())))
+        assert [(subset, _bits(cells)) for subset, cells in effects(flat, dims, factors)] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
