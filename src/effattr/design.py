@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._util import Kind, canonical_json, derive_seed, gc_paused, json_scalar, parse_json, read, read_rows
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
@@ -217,6 +217,23 @@ def _unwritten(method: str, fields: Sequence[list[str | None]]) -> tuple[int, st
     return first
 
 
+def read_factors(factors: Iterable[Any], error: Callable[[str], Exception]) -> tuple[list[str], list[list[str]]]:
+    """The names and the label lists of ``metadata.factors``, once every
+    entry is read and no name, and no label of one factor, repeats."""
+    names: dict[str, int] = {}  # each factor's index, by name
+    labels = []
+    for i, f in enumerate(factors):
+        name, labs = read(f, _METADATA_FACTOR, error, ("metadata", "factors", i))
+        if names.setdefault(name, i) != i:
+            raise error(f"metadata.factors[{i}].name: {name!r} repeats metadata.factors[{names[name]}].name")
+        at: dict[str, int] = {}  # each label's index, by label
+        for j, label in enumerate(labs):
+            if at.setdefault(label, j) != j:
+                raise error(f"metadata.factors[{i}].labels[{j}]: {label!r} repeats labels[{at[label]}]")
+        labels.append(list(labs))
+    return list(names), labels
+
+
 def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     method, raw_trials, r, master_seed, space_digest, metadata = read(doc, _PLAN, _malformed)
     if r < 1:  # the rule of ``require_replicates``
@@ -226,15 +243,7 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
     factors, _, cui_a, cui_ref = read(metadata, _METADATA, _malformed, ("metadata",))
     if method == "paired" and cui_a is not None and cui_a == cui_ref:
         raise _malformed(f"metadata: {_self_paired(cui_a, cui_ref)}")
-    names: dict[str, int] = {}  # each factor's index, by name
-    for i, f in enumerate(factors):
-        name, labels = read(f, _METADATA_FACTOR, _malformed, ("metadata", "factors", i))
-        if names.setdefault(name, i) != i:
-            raise _malformed(f"metadata.factors[{i}].name: {name!r} repeats metadata.factors[{names[name]}].name")
-        at: dict[str, int] = {}  # each label's index, by label
-        for j, label in enumerate(labels):
-            if at.setdefault(label, j) != j:
-                raise _malformed(f"metadata.factors[{i}].labels[{j}]: {label!r} repeats labels[{at[label]}]")
+    read_factors(factors, _malformed)
     # The loop checks each trial before the first mistyped one or the first
     # value the method never writes, in order, so the earliest error wins.
     columns, bad = read_rows(raw_trials, _TRIAL)
@@ -382,16 +391,13 @@ def validate_split(space: ConfigSpace, split: Mapping[str, Any], stratify: str |
 
 
 def draw_2kr(
-    space: ConfigSpace,
-    blocks: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]],
-    seed: int,
-    stratify: str | None = None,
-) -> list[dict[str, str]]:
-    """The chosen total assignment of every 2^k cell, strata outermost.
-
-    ``blocks`` is the output of ``validate_split``. Each cell draws one
-    level per split factor from its block, redrawing excluded combinations.
-    """
+    space: ConfigSpace, split: Mapping[str, Any], seed: int, stratify: str | None = None
+) -> tuple[dict[str, tuple[tuple[str, ...], tuple[str, ...]]], list[dict[str, str]]]:
+    """``split`` checked by ``validate_split``, as (low, high) label blocks per
+    factor, and the chosen total assignment of every 2^k cell, strata outermost.
+    Each cell draws one level per split factor from its block, redrawing
+    excluded combinations."""
+    blocks = validate_split(space, split, stratify)
     split_factors = [f for f in space.factors if f.name in blocks]
     pinned = {
         f.name: f.labels()[0]
@@ -423,7 +429,7 @@ def draw_2kr(
                 raise PlanError(
                     f"2^k cell {cell_index}{where}: no valid draw after {_2KR_MAX_REDRAWS} retries"
                 )
-    return cells
+    return blocks, cells
 
 
 def factorial_2kr(
@@ -439,8 +445,7 @@ def factorial_2kr(
     that factor (the per-stratum variant), giving levels x 2^k cells.
     """
     require_replicates(r)
-    blocks = validate_split(space, split, stratify)
-    cells = draw_2kr(space, blocks, seed, stratify)
+    blocks, cells = draw_2kr(space, split, seed, stratify)
     metadata = {
         "cost": len(cells),
         "k": len(blocks),
@@ -547,15 +552,25 @@ def stratified_sample(space: ConfigSpace, stratum_factor: str, n: int, seed: int
 # -- randomized control/treatment -----------------------------------------
 
 
-def rct_indices(space: ConfigSpace, n: int, seed: int) -> tuple[list[int], list[int]]:
-    """Positions in ``space.pool((ROLE_DC,))`` of the control and treatment arms."""
+def rct_arms(
+    space: ConfigSpace, cui_control: str, cui_treatment: str, n: int, seed: int
+) -> tuple[tuple[str, str, list[int]], tuple[str, str, list[int]]]:
+    """The control and treatment arms, each (group, CUI label, positions in
+    ``space.pool((ROLE_DC,))``): n DC rows sampled, shuffled and halved."""
+    cui = space.cui_factor
+    for lab in (cui_control, cui_treatment):
+        cui.level(lab)
     if n % 2 != 0:
         raise PlanError(f"rct sample size must be even, got {n}")
     sample = sample_indices(space, (ROLE_DC,), n, seed=derive_seed(seed, "rct-sample"))
     rng = random.Random(derive_seed(seed, "rct-shuffle"))
     rng.shuffle(sample)
     half = n // 2
-    return sample[:half], sample[half:]
+    return (GROUP_CONTROL, cui_control, sample[:half]), (GROUP_TREATMENT, cui_treatment, sample[half:])
+
+
+def rct_excluded(group: str, cui: str, label: str, dc: Configuration) -> PlanError:
+    return PlanError(f"{group} completion with {cui}={label!r} is excluded for dc {dc.id}")
 
 
 def rct_plan(
@@ -563,22 +578,14 @@ def rct_plan(
 ) -> DesignPlan:
     """Split n sampled DC configurations 1:1 into control and treatment arms."""
     require_replicates(r)
-    cui = space.cui_factor
-    for lab in (cui_control, cui_treatment):
-        cui.level(lab)
-    control, treatment = rct_indices(space, n, seed)
-    pool = space.pool((ROLE_DC,))
+    arms = rct_arms(space, cui_control, cui_treatment, n, seed)
+    cui, pool = space.cui_factor.name, space.pool((ROLE_DC,))
     units = []
-    for group, cui_label, arm in (
-        (GROUP_CONTROL, cui_control, control),
-        (GROUP_TREATMENT, cui_treatment, treatment),
-    ):
+    for group, cui_label, arm in arms:
         for i in arm:
-            assignment = {**dict(zip(pool.names, pool.rows[i])), cui.name: cui_label}
+            assignment = {**dict(zip(pool.names, pool.rows[i])), cui: cui_label}
             if not space.is_valid(assignment):
-                raise PlanError(
-                    f"{group} completion with {cui.name}={cui_label!r} is excluded for dc {pool.config(i).id}"
-                )
+                raise rct_excluded(group, cui, cui_label, pool.config(i))
             units.append([(Configuration(assignment), group, None, None)])
     metadata = {"cost": n, "n": n, "cui_control": cui_control, "cui_treatment": cui_treatment}
     return _plan("rct", space, units, r, seed, metadata)

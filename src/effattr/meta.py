@@ -16,17 +16,17 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ._util import Kind, derive_seed, derive_seeds, parse_json, read
+from ._util import Kind, assignment_id, derive_seed, derive_seeds, parse_json, read
 from .design import (
     DesignPlan,
     PlanError,
     draw_2kr,
     paired_plan,  # noqa: F401  bench/test_bench.py checks its tracing through meta
-    rct_indices,
+    rct_arms,
+    rct_excluded,
     require_replicates,
     sample_indices,
     stratified_indices,
-    validate_split,
 )
 from .model import ModelError, SyntheticModel, gauss_noise, load_model
 from .runner import AGGREGATE_METHODS, RunLog, aggregate, collapse
@@ -136,8 +136,18 @@ class ScenarioTable:
         self._draws: dict[str | None, list[float]] = {}
 
     def column(self, cui_level: str) -> tuple[tuple[str | None, float] | None, ...]:
+        """The pool rows completed with ``cui_level``, each as described
+        above, evaluated through ``model._evaluate`` on first use and kept."""
         if cui_level not in self._columns:
-            self._columns[cui_level] = self.model.completions(self.space, self.pool, cui_level)
+            space, model, pool = self.space, self.model, self.pool
+            cui = space.cui_factor.name
+            column: list[tuple[str | None, float] | None] = []
+            for row in pool.rows:
+                assignment = {**dict(zip(pool.names, row)), cui: cui_level}
+                valid = space.is_valid(assignment)
+                cid = assignment_id(assignment) if valid and model.noise_sd else None
+                column.append((cid, model._evaluate(assignment)) if valid else None)
+            self._columns[cui_level] = tuple(column)
         return self._columns[cui_level]
 
     def replicates(self, completion: tuple[str | None, float], r: int, seed: int) -> list[float]:
@@ -313,15 +323,12 @@ def _paired_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> Effe
     col_a, col_ref = table.column(scenario.cui_a), table.column(scenario.cui_ref)
     side_a, side_ref = [col_a[i] for i in idx], [col_ref[i] for i in idx]
     if None in side_a or None in side_ref:
-        # The first pair with an excluded completion, side a before side b.
-        side, lab = next(
-            ("a", scenario.cui_a) if a is None else ("b", scenario.cui_ref)
-            for a, ref in zip(side_a, side_ref)
-            if a is None or ref is None
-        )
-        raise PlanError(
-            f"pairing error on side {side}: completion with {space.cui_factor.name}={lab!r} is excluded"
-        )
+        # The first pair with an excluded side; ``space.completions`` names it.
+        i = next(i for i, a, ref in zip(idx, side_a, side_ref) if a is None or ref is None)
+        try:
+            space.completions(dict(zip(table.pool.names, table.pool.rows[i])), scenario.cui_a, scenario.cui_ref)
+        except SpaceError as exc:
+            raise PlanError(str(exc)) from exc
     replicates, r, how = table.replicates, method.r, scenario.aggregate
     diffs = tuple(
         aggregate(replicates(a, r, seed), how) - aggregate(replicates(ref, r, seed), how)
@@ -333,26 +340,14 @@ def _paired_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> Effe
 def _rct_iteration(scenario: Scenario, method: MethodSpec, seed: int) -> EffectEstimate:
     space, table = scenario.space, scenario.table
     require_replicates(method.r)
-    control, treatment = rct_indices(space, method.n, seed)
-    cui = space.cui_factor.name
     arms = []
-    for group, lab, idx in (
-        ("control", scenario.cui_ref, control),
-        ("treatment", scenario.cui_a, treatment),
-    ):
+    for group, lab, idx in rct_arms(space, scenario.cui_ref, scenario.cui_a, method.n, seed):
         col = table.column(lab)
-        for i in idx:
-            if col[i] is None:
-                raise PlanError(
-                    f"{group} completion with {cui}={lab!r} is excluded "
-                    f"for dc {table.pool.config(i).id}"
-                )
-        arms.append([col[i] for i in idx])
-    xc, xt = (
-        [aggregate(table.replicates(c, method.r, seed), scenario.aggregate) for c in arm]
-        for arm in arms
-    )
-    return welch_estimate(xc, xt, alpha=scenario.alpha, unit=scenario.model.unit)
+        arm = [col[i] for i in idx]
+        if None in arm:
+            raise rct_excluded(group, space.cui_factor.name, lab, table.pool.config(idx[arm.index(None)]))
+        arms.append([aggregate(table.replicates(c, method.r, seed), scenario.aggregate) for c in arm])
+    return welch_estimate(*arms, alpha=scenario.alpha, unit=scenario.model.unit)
 
 
 def _factorial_iteration(
@@ -361,8 +356,7 @@ def _factorial_iteration(
     space, table = scenario.space, scenario.table
     split = dict(method.split) if method.split else _default_split(scenario, method)
     require_replicates(method.r)
-    blocks = validate_split(space, split, method.stratify)
-    cells = draw_2kr(space, blocks, seed, method.stratify)
+    blocks, cells = draw_2kr(space, split, seed, method.stratify)
     cui = space.cui_factor.name
     high_labels = blocks[cui][1] if cui in blocks else ()
     high: list[list[float]] = []

@@ -14,8 +14,8 @@ from math import cos, log, sqrt, tau
 from pathlib import Path
 from typing import Any, Mapping
 
-from ._util import Kind, assignment_id, parse_json, read
-from .space import ConfigPool, ConfigSpace, Configuration, ROLE_DC, SpaceError
+from ._util import Kind, parse_json, read
+from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 
 class ModelError(ValueError):
@@ -91,21 +91,6 @@ class SyntheticModel:
             if items >= terms:  # every (factor, label) term is in the assignment
                 value += effect
         return value
-
-    def completions(
-        self, space: ConfigSpace, pool: ConfigPool, cui_level: str
-    ) -> tuple[tuple[str | None, float] | None, ...]:
-        """Id and noise-free response of each row of ``pool`` completed with
-        ``cui_level``; None where the completion is excluded. Ids only seed
-        noise, so without noise they are None and never hashed."""
-        cui = space.cui_factor.name
-        out: list[tuple[str | None, float] | None] = []
-        for row in pool.rows:
-            assignment = {**dict(zip(pool.names, row)), cui: cui_level}
-            valid = space.is_valid(assignment)
-            cid = assignment_id(assignment) if valid and self.noise_sd else None
-            out.append((cid, self._evaluate(assignment)) if valid else None)
-        return tuple(out)
 
     def closed_form_delta(self, space: ConfigSpace, cui_a: str, cui_ref: str) -> float:
         """Noise-free effect difference a - ref averaged over the DC weights.

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import itemgetter, sub, truediv
 from typing import Callable, Hashable, Sequence
 
-from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial
+from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial, read_factors
 from .runner import RunLog, collapse
 from .space import Configuration
 from .special import betainc_inv
@@ -461,14 +461,18 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
     factors = plan.metadata.get("factors")
     if not factors:
         raise StatsError("anova: plan carries no factor structure")
-    names = [f["name"] for f in factors]
-    labels = [list(f["labels"]) for f in factors]
+    names, labels = read_factors(factors, lambda message: StatsError(f"anova: {message}"))
     k = len(names)
     if k > _ANOVA_MAX_FACTORS:
         raise StatsError(f"anova: at most {_ANOVA_MAX_FACTORS} factors supported, got {k}")
     dims = [len(labs) for labs in labels]
     n_cells = math.prod(dims)
     if len(plan.trials) < n_cells * r:
+        used = {(name, t.config.assignment.get(name)) for t in plan.trials for name in names}
+        for i, (name, labs) in enumerate(zip(names, labels)):
+            for j, label in enumerate(labs):
+                if (name, label) not in used:
+                    raise StatsError(f"anova: metadata.factors[{i}].labels[{j}]: no trial sets {name}={label!r}")
         raise StatsError(
             f"anova: the space's exclusions leave the grid incomplete; the plan has "
             f"{len(plan.trials)} trials, {n_cells} level combinations x r {r} need {n_cells * r}"
@@ -495,6 +499,13 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
 
     marginals = _sums.marginal_means(cell_means, dims, live)
     error_ms = error_ss / error_df
+    if total_ss <= floor:
+        total_ss = 0.0
+        error_ss = 0.0
+
+    def pct_of(ss: float) -> float:
+        return 100.0 * ss / total_ss if total_ss > 0 else 0.0
+
     rows = []
     for subset, effect in _sums.effects(marginals, dims, live):
         outside = math.prod(dims[i] for i in range(k) if i not in subset)
@@ -516,21 +527,12 @@ def anova(log: RunLog, plan: DesignPlan, alpha: float = 0.01) -> AnovaTable:
                 component=tuple(names[i] for i in subset),
                 ss=ss,
                 df=df,
-                pct=0.0,  # filled below once total is known
+                pct=pct_of(ss),
                 f_computed=f_comp,
                 f_critical=f_crit,
                 significant=significant,
             )
         )
-
-    if total_ss <= floor:
-        total_ss = 0.0
-        error_ss = 0.0
-
-    def pct_of(ss: float) -> float:
-        return 100.0 * ss / total_ss if total_ss > 0 else 0.0
-
-    rows = [dataclasses.replace(row, pct=pct_of(row.ss)) for row in rows]
     return AnovaTable(
         rows=tuple(rows),
         error_row=ErrorRow(ss=error_ss, df=error_df, pct=pct_of(error_ss)),

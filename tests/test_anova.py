@@ -388,6 +388,38 @@ class TestLoadedPlanChecks:
             anova(log, edited)
         assert str(err.value) == f"anova: trial {first.config.id}/2 has a replicate outside 0..1"
 
+    def test_factor_named_twice_in_memory_is_a_stats_error(self):
+        # Files are checked at load; a plan built in memory meets the same
+        # rule, in the same words, when anova reads its factors.
+        plan = full_factorial(load_space_file(SCENARIOS / "cpu_space_complete.json"), r=2, seed=0)
+        backend = SyntheticBackend(load_model_file(SCENARIOS / "smt_model.json"))
+        log = new_log(plan, backend)
+        run(plan, backend, log)
+        factors = list(plan.metadata["factors"])
+        factors.insert(1, {"name": "smt", "labels": ["smt_on"]})
+        edited = dataclasses.replace(plan, metadata={**plan.metadata, "factors": factors})
+        with pytest.raises(StatsError) as err:
+            anova(log, edited)
+        assert str(err.value) == "anova: metadata.factors[1].name: 'smt' repeats metadata.factors[0].name"
+
+    def test_label_set_by_no_trial_is_named(self, tmp_path, capsys):
+        # The space has no exclusions: the grid is incomplete only because
+        # metadata.factors lists a label that no trial uses.
+        plan_path, log_path = tmp_path / "full.json", tmp_path / "full.jsonl"
+        argv = ["plan", "full", "--space", SCENARIOS / "cpu_space_complete.json", "--plan-out", plan_path, "--r", "2"]
+        assert main([str(a) for a in argv]) == 0
+        doc = json.loads(plan_path.read_text())
+        factor = doc["metadata"]["factors"][2]
+        factor["labels"].append("unused")
+        plan_path.write_text(json.dumps(doc))
+        backend = f"synthetic:{SCENARIOS / 'smt_model.json'}"
+        assert main(["run", "--plan", str(plan_path), "--log", str(log_path), "--backend", backend]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "anova", "--plan", str(plan_path), "--log", str(log_path)]) == 1
+        j = len(factor["labels"]) - 1
+        expected = f"error: anova: metadata.factors[2].labels[{j}]: no trial sets {factor['name']}='unused'\n"
+        assert capsys.readouterr() == ("", expected)
+
 
 def oracle_two_factor(y):
     """Brute-force two-way decomposition from marginal means (independent path)."""

@@ -9,6 +9,7 @@ the same exception type where that pipeline fails.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,33 @@ def test_pairing_error_equals_the_plans(exclusions):
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("pairing error on side ")
+
+
+@pytest.mark.parametrize(
+    "exclusion,group",
+    [
+        ({"cpu": "ht_on", "w": "w1"}, "control"),  # the control arm runs cui_ref
+        ({"cpu": "ht_off", "w": "w1"}, "treatment"),  # the treatment arm runs cui_a
+    ],
+)
+def test_rct_exclusion_error_equals_the_plans(exclusion, group):
+    # An arm row whose CUI level is excluded is named in the words of
+    # ``rct_plan``, by both paths and at every seed where the plan fails.
+    failed = 0
+    for seed in SEEDS:
+        outcomes = []
+        for fn in (reference, _one_iteration):
+            try:
+                fn(scenario(space_json(exclusions=(exclusion,)), 0.8), RCT, seed)
+                outcomes.append(None)
+            except PlanError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            failed += 1
+            label = exclusion["cpu"]
+            assert re.fullmatch(rf"{group} completion with cpu='{label}' is excluded for dc \w+", outcomes[0])
+    assert failed
 
 
 def test_bad_aggregate_rejected_at_construction():

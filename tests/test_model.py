@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effattr import Configuration, ModelError, SyntheticModel, load_model, load_space
+from effattr.meta import Scenario
 from effattr.space import ROLE_DC
 
 
@@ -74,14 +75,15 @@ def test_completions_match_responses():
     effects = {("cpu", "off"): 0.5, ("w", "w1"): 2.0}
     pool = space.pool((ROLE_DC,))
     dcs = [pool.config(i) for i in range(len(pool.rows))]
-    noisy = SyntheticModel(1.0, effects, noise_sd=0.5)
-    column = noisy.completions(space, pool, "off")
-    on = noisy.completions(space, pool, "on")
+    # The meta table's columns are the model's responses to the completions.
+    table = Scenario(space, SyntheticModel(1.0, effects, noise_sd=0.5), "on", "off").table
+    column = table.column("off")
+    on = table.column("on")
     assert column[1] is None
     assert column[0] == (dcs[0].extended({"cpu": "off"}).id, 1.5)
     assert on == tuple((c.extended({"cpu": "on"}).id, 1.0 + 2.0 * i) for i, c in enumerate(dcs))
     # Without noise no trial seed reads the ids, so none is hashed.
-    assert SyntheticModel(1.0, effects).completions(space, pool, "on") == ((None, 1.0), (None, 3.0))
+    assert Scenario(space, SyntheticModel(1.0, effects), "on", "off").table.column("on") == ((None, 1.0), (None, 3.0))
 
 
 MODEL = {
