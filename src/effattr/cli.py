@@ -2,7 +2,8 @@
 logs, and run methodology meta-evaluations.
 
 Exit codes: 0 success, 1 validation/domain error, 2 I/O error, 3 partial
-run (failed trials remain). Machine-readable data goes to stdout (or
+run (failed trials remain), 130 interrupted (Ctrl-C; a run keeps the
+records it appended). Machine-readable data goes to stdout (or
 ``--out``); diagnostics go to stderr.
 """
 
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _fmt(x: float, raw: bool = False) -> str:
@@ -371,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _diag(f"io error: {exc}")
         return EXIT_IO
+    except KeyboardInterrupt:  # ``cmd_run`` has closed its log, every record appended kept
+        _diag("interrupted")
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:  # pragma: no cover - console script shim

@@ -579,13 +579,13 @@ def rct_plan(
     """Split n sampled DC configurations 1:1 into control and treatment arms."""
     require_replicates(r)
     arms = rct_arms(space, cui_control, cui_treatment, n, seed)
-    cui, pool = space.cui_factor.name, space.pool((ROLE_DC,))
+    pool = space.pool((ROLE_DC,))
     units = []
     for group, cui_label, arm in arms:
         for i in arm:
-            assignment = {**dict(zip(pool.names, pool.rows[i])), cui: cui_label}
-            if not space.is_valid(assignment):
-                raise rct_excluded(group, cui, cui_label, pool.config(i))
+            assignment = space.completion(dict(zip(pool.names, pool.rows[i])), cui_label)
+            if assignment is None:
+                raise rct_excluded(group, space.cui_factor.name, cui_label, pool.config(i))
             units.append([(Configuration(assignment), group, None, None)])
     metadata = {"cost": n, "n": n, "cui_control": cui_control, "cui_treatment": cui_treatment}
     return _plan("rct", space, units, r, seed, metadata)

@@ -140,13 +140,11 @@ class ScenarioTable:
         above, evaluated through ``model._evaluate`` on first use and kept."""
         if cui_level not in self._columns:
             space, model, pool = self.space, self.model, self.pool
-            cui = space.cui_factor.name
             column: list[tuple[str | None, float] | None] = []
             for row in pool.rows:
-                assignment = {**dict(zip(pool.names, row)), cui: cui_level}
-                valid = space.is_valid(assignment)
-                cid = assignment_id(assignment) if valid and model.noise_sd else None
-                column.append((cid, model._evaluate(assignment)) if valid else None)
+                assignment = space.completion(dict(zip(pool.names, row)), cui_level)
+                cid = assignment_id(assignment) if assignment is not None and model.noise_sd else None
+                column.append(None if assignment is None else (cid, model._evaluate(assignment)))
             self._columns[cui_level] = tuple(column)
         return self._columns[cui_level]
 
@@ -459,9 +457,10 @@ def select_best_cui(
     for level in cui.labels():
         values = []
         for dc in dc_sample:
-            cfg = dc.extended({cui.name: level})
-            if not space.is_valid(cfg.assignment):
+            assignment = space.completion(dc.assignment, level)
+            if assignment is None:
                 raise ScenarioError(f"completion {cui.name}={level!r} is excluded for dc {dc.id}")
+            cfg = Configuration(assignment)
             if model is not None:
                 values.append(model.response(cfg))
             else:

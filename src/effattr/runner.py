@@ -15,13 +15,13 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, NamedTuple
@@ -125,30 +125,30 @@ _scan = json.JSONDecoder().scan_once  # ``json.loads`` of a document with no whi
 _JSON_SPACE = " \t\n\r"
 
 
-def _read_records(lines: list[str]) -> list[Measurement] | None:
-    """The measurements of the record lines ``lines``, blank ones skipped, read
-    by column; None if a line is not one good record."""
-    texts = list(filter(None, map(str.strip, lines, repeat(_JSON_SPACE))))
-    try:
-        scanned = list(map(_scan, texts, repeat(0)))
-    except (StopIteration, ValueError, RecursionError):  # no value at the start, bad or too deep JSON
-        return None
-    if list(map(itemgetter(1), scanned)) != list(map(len, texts)):  # more after the value
-        return None
-    columns, bad = read_rows(list(map(itemgetter(0), scanned)), _RECORD)
+def _read_records(texts: list[str]) -> list[Measurement]:
+    """The measurements of the record texts ``texts``, read by column, up to
+    the first text that is not one good record: it does not scan as JSON,
+    has more after its value, or has a bad field or value."""
+    scanned = []
+    with suppress(StopIteration, ValueError, RecursionError):  # no value at the start, bad or too deep JSON
+        for text in texts:
+            value, end = _scan(text, 0)
+            if end < len(text):  # more after the value
+                break
+            scanned.append(value)
+    columns, _ = read_rows(scanned, _RECORD)
     del scanned  # the records' dicts, before the measurements are built: peak memory
-    if bad < len(texts):
-        return None
-    try:
-        return list(map(Measurement, *columns))
-    except ValueError:
-        return None
+    records: list[Measurement] = []
+    with suppress(RunError):  # a value or status that ``Measurement`` rejects
+        for m in map(Measurement, *columns):
+            records.append(m)
+    return records
 
 
 class RunLog:
     """Header plus append-only measurements, optionally bound to a JSONL file."""
 
-    def __init__(self, header: LogHeader, path: str | Path | None = None, _existing: bool = False):
+    def __init__(self, header: LogHeader, path: str | Path | None = None):
         self.header = header
         self.path = Path(path) if path is not None else None
         self._records: dict[tuple[str, int], Measurement] = {}
@@ -156,7 +156,7 @@ class RunLog:
         # A loaded log reopens its file on the first new record: (length to
         # cut a torn last record back to, or None; text to write first).
         self._reopen: tuple[int | None, str] | None = None
-        if self.path is not None and not _existing:
+        if self.path is not None:
             self._fh = open(self.path, "w", encoding="utf-8")
             self._fh.write(json.dumps(self.header.to_dict(), sort_keys=True) + "\n")
             self.flush()
@@ -191,27 +191,28 @@ class RunLog:
         header = LogHeader(
             *read(head, _HEADER, lambda message: RunError(f"run log {path}: bad header line: {message}"))
         )
-        log = cls(header, path=path, _existing=True)
-        # Every record of a good log is read at once, by column; a log with a
-        # malformed record or a duplicate key is read again line by line,
-        # which names the first fault or drops a torn last record.
-        records = _read_records(lines[1:])
-        if records is not None:
-            log._records = dict(zip(map(itemgetter(0, 1), records), records))
-        if records is None or len(log._records) < len(records):
+        log = cls(header)
+        log.path = path
+        # The records are read at once, by column, up to the first bad one;
+        # the first fault in line order is a duplicate key among them, or else
+        # that bad line, which the row reader words unless it is a torn last record.
+        at = [i for i in range(1, len(lines)) if lines[i].strip()]  # blank lines are skipped
+        records = _read_records([lines[i].strip(_JSON_SPACE) for i in at])
+        log._records = dict(zip(map(itemgetter(0, 1), records), records))
+        if len(log._records) < len(records):  # a duplicate key, which ``_add`` names
             log._records = {}
-            for i, line in enumerate(lines[1:], start=2):
-                if not line.strip():
-                    continue
-                try:
-                    m = Measurement(*read(json.loads(line), _RECORD, ValueError))
-                except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
-                    if torn and i == len(lines):
-                        print(f"warning: run log {path}:{i}: dropped a torn last record", file=sys.stderr)
-                        log._reopen = (complete, "")
-                        return log
-                    raise RunError(f"run log {path}:{i}: malformed record: {exc}") from exc
+            for m in records:
                 log._add(m, write=False)
+        if len(records) < len(at):
+            i = at[len(records)]
+            try:
+                Measurement(*read(json.loads(lines[i]), _RECORD, ValueError))  # raises
+            except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
+                if torn and i == len(lines) - 1:
+                    print(f"warning: run log {path}:{i + 1}: dropped a torn last record", file=sys.stderr)
+                    log._reopen = (complete, "")
+                    return log
+                raise RunError(f"run log {path}:{i + 1}: malformed record: {exc}") from exc
         # A whole last record that lost only its newline gets it back.
         log._reopen = (None, "\n" if torn else "")
         return log
@@ -231,8 +232,12 @@ class RunLog:
         if write and self._fh is not None:
             self._fh.write(_record_json(m))
 
-    def append(self, m: Measurement) -> None:
+    def append(self, m: Measurement, flush: bool = False) -> None:
+        """Add ``m`` to the log and its file; with ``flush``, the record is
+        handed to the OS at once (a write, not an fsync)."""
         self._add(m, write=True)
+        if flush and self._fh is not None:
+            self._fh.flush()
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -295,6 +300,9 @@ class Backend:
     def measure(self, trial: Trial) -> Measurement:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def stop(self) -> None:
+        """End the measurements still in flight; ``run`` calls it when it is interrupted."""
+
 
 class SyntheticBackend(Backend):
     """Pure model evaluation plus per-trial seeded Gaussian noise.
@@ -339,6 +347,7 @@ class ExternalBackend(Backend):
         self.space = space
         self.unit = unit
         self.timeout = timeout
+        self._groups: set[int] = set()  # the process groups of the commands in flight
 
     def render(self, trial: Trial) -> str:
         values = {
@@ -353,17 +362,27 @@ class ExternalBackend(Backend):
     def measure(self, trial: Trial) -> Measurement:
         cmd = self.render(trial)
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                cmd, shell=True, capture_output=True, text=True, timeout=self.timeout
-            )
-        except subprocess.TimeoutExpired:
-            wall = time.perf_counter() - start
-            return self._failed(trial, wall, f"timeout after {self.timeout}s: {shlex.quote(cmd)}")
+        # In a session of its own, the command's whole process group can be
+        # ended, its children too, where it times out or the run is interrupted.
+        with subprocess.Popen(
+            cmd, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+        ) as proc:
+            self._groups.add(proc.pid)
+            try:
+                stdout = proc.communicate(timeout=self.timeout)[0]
+            except subprocess.TimeoutExpired:
+                stdout = None
+            finally:
+                self._groups.discard(proc.pid)
+                if proc.returncode is None:
+                    _kill_group(proc.pid)
+                    proc.wait()
         wall = time.perf_counter() - start
+        if stdout is None:
+            return self._failed(trial, wall, f"timeout after {self.timeout}s: {shlex.quote(cmd)}")
         if proc.returncode != 0:
             return self._failed(trial, wall, f"exit {proc.returncode}")
-        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+        lines = [ln for ln in stdout.splitlines() if ln.strip()]
         if not lines:
             return self._failed(trial, wall, "no output")
         try:
@@ -380,6 +399,12 @@ class ExternalBackend(Backend):
             wall_time=wall,
         )
 
+    def stop(self) -> None:
+        # Interrupted in the calling thread, ``run`` ends the commands that
+        # other threads wait for: the terminal's Ctrl-C reaches only its own session.
+        for group in list(self._groups):
+            _kill_group(group)
+
     def _failed(self, trial: Trial, wall: float, reason: str) -> Measurement:
         return Measurement(
             config_id=trial.config.id,
@@ -390,6 +415,11 @@ class ExternalBackend(Backend):
             status="failed",
             reason=reason,
         )
+
+
+def _kill_group(group: int) -> None:
+    with suppress(ProcessLookupError):  # the group has ended
+        os.killpg(group, signal.SIGKILL)
 
 
 # -- execution ---------------------------------------------------------------
@@ -430,7 +460,8 @@ def run(
     (``Backend.waits``) run at once in threads; other backends measure in
     the calling thread. ``retry`` re-attempts failed measurements within
     this invocation before recording; failures already recorded in the
-    log are never retried.
+    log are never retried. Each record of a waiting backend reaches the OS
+    before the next is appended; the log is fsynced at the end.
     """
     check_log(log, plan)
     todo: list[Trial] = []
@@ -454,10 +485,14 @@ def run(
     failed = 0
     threaded = parallelism > 1 and backend.waits
     with ThreadPoolExecutor(max_workers=parallelism) if threaded else nullcontext() as pool:
-        for m in (pool.map if threaded else map)(attempt, todo):
-            if m.status == "failed":
-                failed += 1
-            log.append(m)
+        try:
+            for m in (pool.map if threaded else map)(attempt, todo):
+                if m.status == "failed":
+                    failed += 1
+                log.append(m, flush=backend.waits)  # a killed run keeps every record measured at length
+        except BaseException:  # the pool's threads would otherwise wait for their measurements
+            backend.stop()
+            raise
     log.flush()
     return RunReport(executed=len(todo), skipped=skipped, failed=failed)
 

@@ -337,26 +337,20 @@ class ConfigSpace:
 
     # -- pairing --------------------------------------------------------
 
-    @cached_property
-    def _pairing(self) -> tuple[Factor, frozenset[str], dict[str | None, list[Any]]]:
-        """What pairing needs of the space: the CUI factor, the DC factor
-        names, and the exclusions by the CUI label they name (None where they
-        name none), each without the CUI, as items views."""
-        cui = self.cui_factor
-        by_label: dict[str | None, list[Any]] = {}
-        for e in self.exclusions:
-            rest = {k: v for k, v in e.items() if k != cui.name}
-            by_label.setdefault(e.get(cui.name), []).append(rest.items())
-        return cui, frozenset(f.name for f in self.factors if f.role == ROLE_DC), by_label
+    def completion(self, dc_assignment: Mapping[str, str], cui_level: str) -> dict[str, str] | None:
+        """``dc_assignment`` completed with ``cui_level``, or None where
+        ``is_valid`` rejects the completed assignment."""
+        assignment = {**dc_assignment, self.cui_factor.name: cui_level}
+        return assignment if self.is_valid(assignment) else None
 
     def pair_with(
         self, dc_config: Configuration, cui_level_a: str, cui_level_b: str
     ) -> tuple[Configuration, Configuration]:
         """Complete a DC configuration with two CUI levels, checking validity."""
-        cui, dc_names, _ = self._pairing
+        cui = self.cui_factor
         for lab in (cui_level_a, cui_level_b):
             cui.level(lab)  # raises on unknown label
-        missing = dc_names - dc_config.assignment.keys()
+        missing = [f.name for f in self.factors if f.role == ROLE_DC and f.name not in dc_config.assignment]
         if missing:
             raise SpaceError(f"dc configuration missing factors: {sorted(missing)}")
         side_a, side_b = self.completions(dc_config.assignment, cui_level_a, cui_level_b)
@@ -366,15 +360,14 @@ class ConfigSpace:
         self, dc_assignment: Mapping[str, str], cui_level_a: str, cui_level_b: str
     ) -> tuple[dict[str, str], dict[str, str]]:
         """``dc_assignment`` completed with each CUI level, sides a and b;
-        raises for the first side that is excluded. The exclusions that do
-        not name the CUI are checked once, the others only for their level."""
-        cui, _, by_label = self._pairing
-        items = dc_assignment.items()
-        dc_excluded = any(items >= e for e in by_label.get(None, ()))
-        for level, side in ((cui_level_a, "a"), (cui_level_b, "b")):
-            if dc_excluded or any(items >= e for e in by_label.get(level, ())):
-                raise SpaceError(f"pairing error on side {side}: completion with {cui.name}={level!r} is excluded")
-        return {**dc_assignment, cui.name: cui_level_a}, {**dc_assignment, cui.name: cui_level_b}
+        raises for the first side that is excluded."""
+        sides = self.completion(dc_assignment, cui_level_a), self.completion(dc_assignment, cui_level_b)
+        for completed, level, side in zip(sides, (cui_level_a, cui_level_b), "ab"):
+            if completed is None:
+                raise SpaceError(
+                    f"pairing error on side {side}: completion with {self.cui_factor.name}={level!r} is excluded"
+                )
+        return sides  # type: ignore[return-value]
 
     # -- serialization --------------------------------------------------
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,24 @@ def colliding_doc():
         {"name": "b", "role": "DC", "levels": [{"label": "q\nb=r"}, {"label": "r"}]},
     ]
     return doc
+
+
+def running(pid):
+    """Whether process ``pid`` runs; a zombie has ended, only its parent has yet to reap it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def ended(pids, seconds=10):
+    """Whether every process of ``pids`` ends within ``seconds``, polled."""
+    pids = list(pids)
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(running, pids))
 
 
 @pytest.fixture

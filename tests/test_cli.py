@@ -5,8 +5,10 @@ from __future__ import annotations
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from effattr import (
     runner,
 )
 from effattr.cli import main
-from conftest import colliding_doc, space_doc
+from conftest import colliding_doc, ended, running, space_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -201,6 +203,16 @@ def edit_plan(plan_path, edit):
     plan_path.write_text(json.dumps(doc))
 
 
+def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_run", interrupted)
+    assert run_cli(capsys, "run", "--plan", "p.json", "--log", "l.jsonl", "--backend", "synthetic:m.json") == (
+        130, "", "interrupted\n"
+    )
+
+
 class TestRunCommand:
     def plan(self, ws, capsys, r="2"):
         plan_path = ws["dir"] / "plan.json"
@@ -225,6 +237,27 @@ class TestRunCommand:
         )
         assert code == 0
         assert "0 new trials" in out
+
+    def test_an_interrupted_run_keeps_its_records_and_resumes(self, ws, capsys, monkeypatch):
+        plan_path = self.plan(ws, capsys)
+        log_path = ws["dir"] / "log.jsonl"
+        backend = f"synthetic:{ws['model']}"
+        measure, calls = runner.SyntheticBackend.measure, []
+
+        def interrupted_at_the_sixth(self, trial):
+            calls.append(trial)
+            if len(calls) == 6:
+                raise KeyboardInterrupt
+            return measure(self, trial)
+
+        monkeypatch.setattr(runner.SyntheticBackend, "measure", interrupted_at_the_sixth)
+        assert run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend)[::2] == (
+            130, "interrupted\n"
+        )
+        assert len(log_path.read_text().splitlines()) == 1 + 5
+        monkeypatch.setattr(runner.SyntheticBackend, "measure", measure)
+        code, out, _ = run_cli(capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", backend)
+        assert code == 0 and "11 new trials" in out
 
     def test_resume_after_torn_last_record(self, ws, capsys):
         plan_path = self.plan(ws, capsys)
@@ -893,3 +926,74 @@ class TestCyclicGcPause:
         assert run_cli(capsys, "space", "size", "any.json") == (0, "", "")
         assert seen == [False]
         assert gc.isenabled()
+
+
+def cli_process(*argv, **popen):
+    """``python -m effattr`` with ``argv``, importing this checkout's source."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "effattr", *map(str, argv)], env=env, **popen)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_ctrl_c_ends_the_commands_of_a_threaded_run(tmp_path, capsys):
+    """SIGINT to the run's process group, as a terminal sends Ctrl-C: the
+    commands in flight in the pool's threads end with it."""
+    space = SCENARIOS / "cpu_space.json"
+    plan, pids = tmp_path / "plan.json", tmp_path / "pids"
+    assert run_cli(capsys, "plan", "rct", "--space", space, "--plan-out", plan, "--n", "2",
+                   "--control", "smt_on", "--treatment", "smt_off")[0] == 0
+    proc = cli_process("run", "--plan", plan, "--log", tmp_path / "log.jsonl", "--space", space, "--parallelism", "2",
+                       "--backend", f"external:sleep 30 & echo $! >> {pids}; wait",
+                       stderr=subprocess.PIPE, text=True, start_new_session=True)
+    started = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(started) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            started = pids.read_text().split() if pids.exists() else []
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=20)
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        assert len(started) == 2 and ended(map(int, started))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+        for pid in map(int, started):
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM])
+def test_a_killed_external_run_keeps_every_finished_trial(tmp_path, capsys, sig):
+    """A signal in the middle of a run of external commands: the log holds
+    each trial finished before it as a whole record, and the resumed run
+    completes it to what an uninterrupted run analyses to."""
+    space = SCENARIOS / "cpu_space.json"
+    plan = tmp_path / "plan.json"
+    assert run_cli(capsys, "plan", "paired", "--space", space, "--plan-out", plan, "--n", "10", "--r", "2",
+                   "--seed", "7", "--cui-a", "smt_on", "--cui-ref", "smt_off")[0] == 0
+    backend = "external:sleep 0.05; echo {threads}.{smt}"
+    whole, killed = tmp_path / "whole.jsonl", tmp_path / "killed.jsonl"
+    assert run_cli(capsys, "run", "--plan", plan, "--log", whole, "--backend", backend, "--space", space,
+                   "--parallelism", "4")[0] == 0
+    proc = cli_process("run", "--plan", plan, "--log", killed, "--backend", backend, "--space", space,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and (not killed.exists() or killed.read_text().count("\n") < 11):
+            time.sleep(0.02)
+        finished = killed.read_text().count("\n") - 1  # records on disk before the kill
+    finally:
+        proc.send_signal(sig)
+        proc.wait()
+    data = killed.read_text()
+    records = [json.loads(line) for line in data.splitlines()[1:]]
+    assert 10 <= finished <= len(records) < 40
+    assert data.endswith("\n")  # whole records only
+    assert run_cli(capsys, "run", "--plan", plan, "--log", killed, "--backend", backend, "--space", space)[0] == 0
+    keys = [(r["config_id"], r["replicate"]) for r in map(json.loads, killed.read_text().splitlines()[1:])]
+    assert len(keys) == len(set(keys)) == 40
+    effects = [run_cli(capsys, "analyze", "effect", "--plan", plan, "--log", log, "--raw") for log in (whole, killed)]
+    assert effects[0][0] == 0 and effects[0] == effects[1]

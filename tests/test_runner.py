@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import re
+import shlex
+import signal
 import statistics
 import threading
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effattr import (
@@ -36,9 +41,10 @@ from effattr import (
     run,
     simple_random_sample,
 )
+from effattr._util import read
 from effattr.design import Trial
-from effattr.runner import _record_json
-from conftest import space_doc
+from effattr.runner import _RECORD, _record_json
+from conftest import ended, running, space_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -407,6 +413,22 @@ class TestExternalBackend:
             m = ExternalBackend(cmd, space).measure(trial)
             assert 0.1 <= m.wall_time < 30, (cmd, m)
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_timeout_ends_the_commands_children(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        cmd = f"sleep 30 & echo $! > {pid_file}; wait"
+        pid = None
+        try:
+            m = ExternalBackend(cmd, self.make_space(), timeout=0.5).measure(
+                make_trial({"cpu": "ht_on", "w": "w0", "t": "t0"})
+            )
+            assert (m.status, m.reason) == ("failed", f"timeout after 0.5s: {shlex.quote(cmd)}")
+            pid = int(pid_file.read_text())
+            assert ended([pid])
+        finally:
+            if pid is not None and running(pid):
+                os.kill(pid, signal.SIGKILL)
+
     def test_unknown_placeholder_rejected(self):
         space = self.make_space()
         backend = ExternalBackend("echo {missing}", space)
@@ -605,3 +627,103 @@ class TestRunLogTypes:
         path = self.write(tmp_path / "log.jsonl", head)
         with pytest.raises(RunError, match="first line is not a runlog header"):
             RunLog.load(path)
+
+
+def load_line_by_line(data, path):
+    """``RunLog.load``'s records as a reading of one line at a time gives
+    them: (records, the file's bytes before the next appended record, the
+    warning), or the error's text. The reference for the column reader."""
+    complete = data.rfind(b"\n") + 1
+    lines = data[:complete].decode("utf-8").splitlines()
+    torn = data[complete:].decode("utf-8", errors="replace")
+    if torn:
+        lines.append(torn)
+    records = {}
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            m = Measurement(*read(json.loads(line), _RECORD, ValueError))
+        except (ValueError, RecursionError) as exc:
+            if torn and i == len(lines):
+                warning = f"warning: run log {path}:{i}: dropped a torn last record\n"
+                return list(records.values()), data[:complete], warning
+            return f"run log {path}:{i}: malformed record: {exc}"
+        key = (m.config_id, m.replicate)
+        if key in records:
+            return f"duplicate measurement for {key}"
+        records[key] = m
+    return list(records.values()), data + (b"\n" if torn else b""), ""
+
+
+def _edit(line, **fields):
+    rec = json.loads(line)
+    rec.update(fields)
+    return json.dumps({k: v for k, v in rec.items() if v is not _edit})
+
+
+# Each fault rewrites the record lines ``lines`` at position ``j``; ``cut``
+# picks where a torn record ends.
+LOG_FAULTS = {
+    "none": lambda lines, j, cut: lines,
+    "bad JSON": lambda lines, j, cut: [*lines[:j], lines[j][: cut % len(lines[j])], *lines[j + 1:]],
+    "too deep": lambda lines, j, cut: [*lines[:j], "[" * 100_000, *lines[j + 1:]],
+    "data after the value": lambda lines, j, cut: [*lines[:j], lines[j] + " " + lines[j], *lines[j + 1:]],
+    "mistyped field": lambda lines, j, cut: [*lines[:j], _edit(lines[j], replicate="one"), *lines[j + 1:]],
+    "missing field": lambda lines, j, cut: [*lines[:j], _edit(lines[j], status=_edit), *lines[j + 1:]],
+    "non-finite ok value": lambda lines, j, cut: [
+        *lines[:j], _edit(lines[j], status="ok", value=float("inf")), *lines[j + 1:]
+    ],
+    "unknown status": lambda lines, j, cut: [*lines[:j], _edit(lines[j], status="pending"), *lines[j + 1:]],
+    "duplicate key": lambda lines, j, cut: [*lines[: j + 1], lines[cut % (j + 1)], *lines[j + 1:]],
+    "blank line": lambda lines, j, cut: [*lines[:j], ["", "  ", "\t\r"][cut % 3], *lines[j:]],
+    "Unicode-space line": lambda lines, j, cut: [*lines[:j], ["\u2003", "\u00a0 \u3000", "\x0b"][cut % 3], *lines[j:]],
+    "Unicode space before a record": lambda lines, j, cut: [*lines[:j], "\u00a0" + lines[j], *lines[j + 1:]],
+}
+
+
+class TestOneRecordReader:
+    """``RunLog.load`` reads records once, by column; a line-by-line reading
+    is its reference, over logs with one fault at any line."""
+
+    GOOD = [
+        Measurement(f"c{i % 3}", i // 3, None, "external", 0.25, "failed", "exit 1")
+        if i % 4 == 3 else Measurement(f"c{i % 3}", i // 3, [1.5, 2, -0.0][i % 3] * i, "synthetic", 0.0)
+        for i in range(8)
+    ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, len(GOOD)),
+        fault=st.sampled_from(sorted(LOG_FAULTS)),
+        at=st.integers(0, len(GOOD) - 1),
+        cut=st.integers(1, 200),
+        ending=st.sampled_from(["newline", "none", "torn", "torn with newline"]),
+    )
+    def test_records_errors_and_resumed_bytes_match_the_line_by_line_reading(
+        self, tmp_path_factory, n, fault, at, cut, ending
+    ):
+        lines = LOG_FAULTS[fault]([_record_json(m)[:-1] for m in self.GOOD[:n]], at % n, cut)
+        if ending.startswith("torn"):  # the last record cut short
+            lines[-1] = lines[-1][: 1 + cut % max(1, len(lines[-1]) - 1)]
+        header = json.dumps(TestRunLogTypes.HEADER, sort_keys=True)
+        text = "\n".join([header, *lines]) + ("" if ending in ("none", "torn") else "\n")
+        path = tmp_path_factory.mktemp("reader") / "log.jsonl"
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        expected = load_line_by_line(data, path)
+        stderr = io.StringIO()
+        try:
+            with redirect_stderr(stderr):
+                log = RunLog.load(path)
+        except RunError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str), expected
+        records, before, warning = expected
+        assert (log.records, stderr.getvalue()) == (records, warning)
+        assert path.read_bytes() == data  # reading alone changes nothing
+        extra = Measurement("new", 0, 2.5, "synthetic", 0.0)
+        log.append(extra)
+        log.close()
+        assert path.read_bytes() == before + _record_json(extra).encode()

@@ -11,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effattr import Configuration, SpaceError, load_space
+from effattr import (
+    Configuration,
+    PlanError,
+    Scenario,
+    ScenarioError,
+    SpaceError,
+    SyntheticModel,
+    load_space,
+    rct_plan,
+    select_best_cui,
+)
+from effattr.design import rct_arms
+from effattr.stats import sample_mean
 from effattr._util import assignment_id
 from effattr.space import Level
 from conftest import colliding_doc, space_doc
@@ -314,18 +326,20 @@ class TestPairWith:
 
     LABELS = {"cpu": ["c0", "c1", "c2"], "w": ["w0", "w1"], "t": ["t0", "t1", "t2"]}
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        exclusions=st.lists(
+    DRAWS = {
+        "exclusions": st.lists(
             st.fixed_dictionaries({}, optional={name: st.sampled_from(labels) for name, labels in LABELS.items()}),
             max_size=5,
         ),
-        dc=st.fixed_dictionaries(
+        "dc": st.fixed_dictionaries(
             {"w": st.sampled_from(LABELS["w"]), "t": st.sampled_from(LABELS["t"] + ["x"])},
             optional={"cpu": st.sampled_from(LABELS["cpu"]), "extra": st.just("e")},
         ),
-        levels=st.tuples(st.sampled_from(LABELS["cpu"] + ["nosuch"]), st.sampled_from(LABELS["cpu"])),
-    )
+        "levels": st.tuples(st.sampled_from(LABELS["cpu"] + ["nosuch"]), st.sampled_from(LABELS["cpu"])),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(**DRAWS)
     def test_pairs_and_errors_match_the_reference(self, exclusions, dc, levels):
         doc = space_doc(cui_levels=self.LABELS["cpu"], dc_counts=(2, 3), exclusions=[e for e in exclusions if e])
         try:
@@ -342,6 +356,77 @@ class TestPairWith:
 
         expected = outcome(lambda *args: self.reference_pair_with(space, *args))
         assert outcome(space.pair_with) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(**DRAWS, seed=st.integers(0, 2**32))
+    def test_every_completion_site_matches_is_valid(self, exclusions, dc, levels, seed):
+        """``completion``, and the rct, meta-table and best-CUI sites that go
+        through it, against their definition: the whole completed assignment
+        checked by ``is_valid``, results and messages alike."""
+        doc = space_doc(cui_levels=self.LABELS["cpu"], dc_counts=(2, 3), exclusions=[e for e in exclusions if e])
+        try:
+            space = load_space(doc)
+        except SpaceError:
+            return  # the exclusions void the space
+        cui, pool = space.cui_factor.name, space.pool(("DC",))
+
+        def completed(dc_assignment, level):
+            assignment = {**dc_assignment, cui: level}
+            return assignment if space.is_valid(assignment) else None
+
+        def items(assignment):  # key order included
+            return None if assignment is None else list(assignment.items())
+
+        def outcome(build, error):
+            try:
+                return build()
+            except error as exc:
+                return str(exc)
+
+        for level in (*self.LABELS["cpu"], "nosuch"):
+            assert items(space.completion(dc, level)) == items(completed(dc, level))
+
+        rows = [dict(zip(pool.names, row)) for row in pool.rows]
+        table = Scenario(space, SyntheticModel(), self.LABELS["cpu"][0], self.LABELS["cpu"][1]).table
+        for level in self.LABELS["cpu"]:
+            nones = [entry is None for entry in table.column(level)]
+            assert nones == [completed(row, level) is None for row in rows]
+
+        n = len(rows) // 2 * 2
+        if n and "nosuch" not in levels:
+            def reference_rct():
+                configs = []
+                for group, level, arm in rct_arms(space, *levels, n, seed):
+                    for i in arm:
+                        assignment = completed(rows[i], level)
+                        if assignment is None:
+                            raise PlanError(
+                                f"{group} completion with {cui}={level!r} is excluded for dc {pool.config(i).id}"
+                            )
+                        configs.append(list(assignment.items()))
+                return configs
+
+            plan = outcome(lambda: rct_plan(space, *levels, n, 1, seed), PlanError)
+            actual = plan if isinstance(plan, str) else [list(t.config.assignment.items()) for t in plan.trials]
+            assert actual == outcome(reference_rct, PlanError)
+
+        model = SyntheticModel(main_effects={(cui, self.LABELS["cpu"][1]): 1.0, ("w", "w1"): 2.0})
+        sample = [Configuration(dc), *(pool.config(i) for i in range(len(rows)))]
+
+        def reference_best():
+            means = {}
+            for level in self.LABELS["cpu"]:
+                values = []
+                for c in sample:
+                    assignment = completed(c.assignment, level)
+                    if assignment is None:
+                        raise ScenarioError(f"completion {cui}={level!r} is excluded for dc {c.id}")
+                    values.append(model.response(Configuration(assignment)))
+                means[level] = sample_mean(values)
+            return means
+
+        actual = outcome(lambda: select_best_cui(space, sample, model=model).means, ScenarioError)
+        assert actual == outcome(reference_best, ScenarioError)
 
 
 def test_configuration_id_order_invariant():
