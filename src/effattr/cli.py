@@ -3,8 +3,9 @@ logs, and run methodology meta-evaluations.
 
 Exit codes: 0 success, 1 validation/domain error, 2 I/O error, 3 partial
 run (failed trials remain), 130 interrupted (Ctrl-C; a run keeps the
-records it appended). Machine-readable data goes to stdout (or
-``--out``); diagnostics go to stderr.
+records it appended and ends the commands it started). The ``effattr``
+command treats SIGTERM and SIGHUP as Ctrl-C and exits 143 and 129 on them.
+Machine-readable data goes to stdout (or ``--out``); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import signal
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -26,6 +28,15 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM or SIGHUP, raised in the main thread as Ctrl-C raises
+    ``KeyboardInterrupt``, so that a run ends the same way."""
+
+    def __init__(self, signum: int):
+        super().__init__(signum)
+        self.exit_code = 128 + signum
 
 
 def _fmt(x: float, raw: bool = False) -> str:
@@ -373,14 +384,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _diag(f"io error: {exc}")
         return EXIT_IO
-    except KeyboardInterrupt:  # ``cmd_run`` has closed its log, every record appended kept
+    except KeyboardInterrupt as exc:  # ``cmd_run`` has closed its log, every record appended kept
         _diag("interrupted")
-        return EXIT_INTERRUPTED
+        return getattr(exc, "exit_code", EXIT_INTERRUPTED)
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise Terminated(signum)
 
 
 def entry() -> None:  # pragma: no cover - console script shim
+    # Only the command takes these signals over: ``main`` also runs inside other programs.
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, _terminate)
     sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

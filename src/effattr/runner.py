@@ -18,6 +18,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
@@ -206,13 +207,14 @@ class RunLog:
         if len(records) < len(at):
             i = at[len(records)]
             try:
-                Measurement(*read(json.loads(lines[i]), _RECORD, ValueError))  # raises
+                Measurement(*read(json.loads(lines[i]), _RECORD, ValueError))
             except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
                 if torn and i == len(lines) - 1:
                     print(f"warning: run log {path}:{i + 1}: dropped a torn last record", file=sys.stderr)
                     log._reopen = (complete, "")
                     return log
                 raise RunError(f"run log {path}:{i + 1}: malformed record: {exc}") from exc
+            raise RunError(f"run log {path}:{i + 1}: record read by row but not by column")  # readers at odds
         # A whole last record that lost only its newline gets it back.
         log._reopen = (None, "\n" if torn else "")
         return log
@@ -232,11 +234,11 @@ class RunLog:
         if write and self._fh is not None:
             self._fh.write(_record_json(m))
 
-    def append(self, m: Measurement, flush: bool = False) -> None:
-        """Add ``m`` to the log and its file; with ``flush``, the record is
-        handed to the OS at once (a write, not an fsync)."""
+    def append(self, m: Measurement) -> None:
+        """Add ``m`` to the log and hand its record to the OS (a write, not
+        an fsync), so that a killed run keeps every record it appended."""
         self._add(m, write=True)
-        if flush and self._fh is not None:
+        if self._fh is not None:
             self._fh.flush()
 
     def flush(self) -> None:
@@ -301,7 +303,8 @@ class Backend:
         raise NotImplementedError
 
     def stop(self) -> None:
-        """End the measurements still in flight; ``run`` calls it when it is interrupted."""
+        """End the measurements still in flight and start no more; ``run``
+        calls it when it is interrupted."""
 
 
 class SyntheticBackend(Backend):
@@ -348,6 +351,8 @@ class ExternalBackend(Backend):
         self.unit = unit
         self.timeout = timeout
         self._groups: set[int] = set()  # the process groups of the commands in flight
+        self._stopped = False
+        self._lock = threading.Lock()  # over both: ``stop`` ends every command started
 
     def render(self, trial: Trial) -> str:
         values = {
@@ -364,16 +369,21 @@ class ExternalBackend(Backend):
         start = time.perf_counter()
         # In a session of its own, the command's whole process group can be
         # ended, its children too, where it times out or the run is interrupted.
-        with subprocess.Popen(
-            cmd, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
-        ) as proc:
+        with self._lock:
+            if self._stopped:  # a retry, or a trial of the pool, after an interrupt
+                return self._failed(trial, 0.0, "stopped")
+            proc = subprocess.Popen(
+                cmd, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+            )
             self._groups.add(proc.pid)
+        with proc:
             try:
                 stdout = proc.communicate(timeout=self.timeout)[0]
             except subprocess.TimeoutExpired:
                 stdout = None
             finally:
-                self._groups.discard(proc.pid)
+                with self._lock:
+                    self._groups.discard(proc.pid)
                 if proc.returncode is None:
                     _kill_group(proc.pid)
                     proc.wait()
@@ -401,9 +411,12 @@ class ExternalBackend(Backend):
 
     def stop(self) -> None:
         # Interrupted in the calling thread, ``run`` ends the commands that
-        # other threads wait for: the terminal's Ctrl-C reaches only its own session.
-        for group in list(self._groups):
-            _kill_group(group)
+        # other threads wait for: a signal to the run's process group reaches
+        # none of the commands' own sessions.
+        with self._lock:
+            self._stopped = True
+            for group in self._groups:
+                _kill_group(group)
 
     def _failed(self, trial: Trial, wall: float, reason: str) -> Measurement:
         return Measurement(
@@ -460,8 +473,8 @@ def run(
     (``Backend.waits``) run at once in threads; other backends measure in
     the calling thread. ``retry`` re-attempts failed measurements within
     this invocation before recording; failures already recorded in the
-    log are never retried. Each record of a waiting backend reaches the OS
-    before the next is appended; the log is fsynced at the end.
+    log are never retried. Each record reaches the OS before the next is
+    appended; the log is fsynced at the end.
     """
     check_log(log, plan)
     todo: list[Trial] = []
@@ -489,7 +502,7 @@ def run(
             for m in (pool.map if threaded else map)(attempt, todo):
                 if m.status == "failed":
                     failed += 1
-                log.append(m, flush=backend.waits)  # a killed run keeps every record measured at length
+                log.append(m)
         except BaseException:  # the pool's threads would otherwise wait for their measurements
             backend.stop()
             raise

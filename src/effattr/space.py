@@ -246,6 +246,10 @@ class ConfigSpace:
     _walks: dict[tuple[str, ...], _Walk] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    cui_factor: Factor = field(init=False, repr=False, compare=False)
+    # By the CUI label an assignment holds (None: no known one), the exclusions it
+    # can extend, as (factor, label) sets: those naming no CUI label, then that one's.
+    _excludable: dict[str | None, tuple[frozenset[tuple[str, str]], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.factors]
@@ -255,6 +259,7 @@ class ConfigSpace:
         cui = [f for f in self.factors if f.role == ROLE_CUI]
         if len(cui) != 1:
             raise SpaceError(f"exactly one factor must have role CUI, found {len(cui)}")
+        object.__setattr__(self, "cui_factor", cui[0])
         by_name = {f.name: f for f in self.factors}
         for i, excl in enumerate(self.exclusions):
             if not excl:
@@ -264,6 +269,10 @@ class ConfigSpace:
                     raise SpaceError(f"exclusions[{i}]: unknown factor {fname!r}")
                 if label not in by_name[fname].labels():
                     raise SpaceError(f"exclusions[{i}].{fname}: unknown level {label!r}")
+        sets = [(e.get(cui[0].name), frozenset(e.items())) for e in self.exclusions]
+        common = tuple(s for named, s in sets if named is None)
+        by_label = {lab: common + tuple(s for named, s in sets if named == lab) for lab in cui[0].labels()}
+        object.__setattr__(self, "_excludable", {None: common, **by_label})
         if self.cartesian_size() < 1:
             raise SpaceError("empty space: exclusions cover every configuration")
 
@@ -274,10 +283,6 @@ class ConfigSpace:
             if f.name == name:
                 return f
         raise SpaceError(f"no factor named {name!r}")
-
-    @property
-    def cui_factor(self) -> Factor:
-        return next(f for f in self.factors if f.role == ROLE_CUI)
 
     def factors_for(self, roles: Iterable[str]) -> tuple[Factor, ...]:
         roleset = set(roles)
@@ -290,9 +295,10 @@ class ConfigSpace:
 
     def is_valid(self, assignment: Mapping[str, str]) -> bool:
         # An assignment extends an exclusion iff it holds every excluded
-        # (factor, label) pair; absent factors never match.
-        items = assignment.items()
-        return not any(items >= e.items() for e in self.exclusions)
+        # (factor, label) pair; absent factors never match, so only the
+        # exclusions that name no CUI label or the assignment's own can.
+        items, excludable = assignment.items(), self._excludable
+        return not any(items >= e for e in excludable.get(assignment.get(self.cui_factor.name), excludable[None]))
 
     # -- counting -------------------------------------------------------
 
@@ -364,9 +370,8 @@ class ConfigSpace:
         sides = self.completion(dc_assignment, cui_level_a), self.completion(dc_assignment, cui_level_b)
         for completed, level, side in zip(sides, (cui_level_a, cui_level_b), "ab"):
             if completed is None:
-                raise SpaceError(
-                    f"pairing error on side {side}: completion with {self.cui_factor.name}={level!r} is excluded"
-                )
+                cui = self.cui_factor.name
+                raise SpaceError(f"pairing error on side {side}: completion with {cui}={level!r} is excluded")
         return sides  # type: ignore[return-value]
 
     # -- serialization --------------------------------------------------

@@ -213,6 +213,17 @@ def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
     )
 
 
+def test_sigterm_or_sighup_exits_128_plus_the_signal(monkeypatch, capsys):
+    for sig in (signal.SIGTERM, signal.SIGHUP):
+        def terminated(args):
+            cli._terminate(sig, None)
+
+        monkeypatch.setattr(cli, "cmd_run", terminated)
+        assert run_cli(capsys, "run", "--plan", "p.json", "--log", "l.jsonl", "--backend", "synthetic:m.json") == (
+            128 + sig, "", "interrupted\n"
+        )
+
+
 class TestRunCommand:
     def plan(self, ws, capsys, r="2"):
         plan_path = ws["dir"] / "plan.json"
@@ -936,31 +947,39 @@ def cli_process(*argv, **popen):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-def test_ctrl_c_ends_the_commands_of_a_threaded_run(tmp_path, capsys):
-    """SIGINT to the run's process group, as a terminal sends Ctrl-C: the
-    commands in flight in the pool's threads end with it."""
+@pytest.mark.parametrize(
+    "sig, code, parallelism, retry",
+    [(signal.SIGINT, 130, 2, 0), (signal.SIGINT, 130, 2, 2), (signal.SIGTERM, 143, 2, 2), (signal.SIGHUP, 129, 1, 0)],
+    ids=["ctrl-c-threads", "ctrl-c-threads-retry", "sigterm-threads-retry", "sighup"],
+)
+def test_a_signal_to_the_run_ends_its_commands(tmp_path, capsys, sig, code, parallelism, retry):
+    """A signal to the run's process group, as a terminal sends Ctrl-C or a
+    hangup: the commands in flight, also in the pool's threads, end with the
+    run, and no retry starts another."""
     space = SCENARIOS / "cpu_space.json"
     plan, pids = tmp_path / "plan.json", tmp_path / "pids"
     assert run_cli(capsys, "plan", "rct", "--space", space, "--plan-out", plan, "--n", "2",
                    "--control", "smt_on", "--treatment", "smt_off")[0] == 0
-    proc = cli_process("run", "--plan", plan, "--log", tmp_path / "log.jsonl", "--space", space, "--parallelism", "2",
+    proc = cli_process("run", "--plan", plan, "--log", tmp_path / "log.jsonl", "--space", space,
+                       "--parallelism", parallelism, "--retry", retry,
                        "--backend", f"external:sleep 30 & echo $! >> {pids}; wait",
                        stderr=subprocess.PIPE, text=True, start_new_session=True)
     started = []
     try:
         deadline = time.monotonic() + 30
-        while len(started) < 2 and time.monotonic() < deadline:
+        while len(started) < parallelism and time.monotonic() < deadline:
             time.sleep(0.05)
             started = pids.read_text().split() if pids.exists() else []
-        os.killpg(proc.pid, signal.SIGINT)
+        os.killpg(proc.pid, sig)
         _, err = proc.communicate(timeout=20)
-        assert (proc.returncode, err) == (130, "interrupted\n")
-        assert len(started) == 2 and ended(map(int, started))
+        assert (proc.returncode, err) == (code, "interrupted\n")
+        assert len(started) == parallelism and ended(map(int, started))
+        assert len(pids.read_text().split()) == parallelism  # no command started after the signal
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-        for pid in map(int, started):
+        for pid in map(int, pids.read_text().split() if pids.exists() else ()):
             if running(pid):
                 os.kill(pid, signal.SIGKILL)
 

@@ -41,6 +41,7 @@ from effattr import (
     run,
     simple_random_sample,
 )
+from effattr import runner
 from effattr._util import read
 from effattr.design import Trial
 from effattr.runner import _RECORD, _record_json
@@ -429,6 +430,13 @@ class TestExternalBackend:
             if pid is not None and running(pid):
                 os.kill(pid, signal.SIGKILL)
 
+    def test_a_stopped_backend_starts_no_command(self, tmp_path):
+        flag = tmp_path / "flag"
+        backend = ExternalBackend(f"touch {flag}; echo 1.0", self.make_space())
+        backend.stop()
+        m = backend.measure(make_trial({"cpu": "ht_on", "w": "w0", "t": "t0"}))
+        assert (m.status, m.reason, flag.exists()) == ("failed", "stopped", False)
+
     def test_unknown_placeholder_rejected(self):
         space = self.make_space()
         backend = ExternalBackend("echo {missing}", space)
@@ -596,6 +604,15 @@ class TestRunLogTypes:
         loaded = RunLog.load(path)
         loaded.close()
         assert loaded.records == [Measurement("c0", 0, 1.5, "synthetic", 0.0)]
+
+    def test_a_record_only_the_row_reader_accepts_is_named(self, tmp_path, monkeypatch):
+        # Were the column reader to stop at a good record, the load would
+        # otherwise keep only the records before it.
+        path = self.write(tmp_path / "log.jsonl", self.HEADER, self.RECORD, {**self.RECORD, "replicate": 1})
+        read_records = runner._read_records
+        monkeypatch.setattr(runner, "_read_records", lambda texts: read_records(texts)[:1])
+        with pytest.raises(RunError, match=re.escape(f"run log {path}:3: record read by row but not by column")):
+            RunLog.load(path)
 
     @pytest.mark.parametrize(
         "line,message",
