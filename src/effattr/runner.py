@@ -234,11 +234,11 @@ class RunLog:
         if write and self._fh is not None:
             self._fh.write(_record_json(m))
 
-    def append(self, m: Measurement) -> None:
-        """Add ``m`` to the log and hand its record to the OS (a write, not
-        an fsync), so that a killed run keeps every record it appended."""
+    def append(self, m: Measurement, flush: bool = False) -> None:
+        """Add ``m`` to the log and its file; with ``flush``, the record is
+        handed to the OS at once (a write, not an fsync)."""
         self._add(m, write=True)
-        if self._fh is not None:
+        if flush and self._fh is not None:
             self._fh.flush()
 
     def flush(self) -> None:
@@ -473,8 +473,8 @@ def run(
     (``Backend.waits``) run at once in threads; other backends measure in
     the calling thread. ``retry`` re-attempts failed measurements within
     this invocation before recording; failures already recorded in the
-    log are never retried. Each record reaches the OS before the next is
-    appended; the log is fsynced at the end.
+    log are never retried. Each record of a waiting backend reaches the OS
+    before the next is appended; the log is fsynced at the end.
     """
     check_log(log, plan)
     todo: list[Trial] = []
@@ -502,7 +502,7 @@ def run(
             for m in (pool.map if threaded else map)(attempt, todo):
                 if m.status == "failed":
                     failed += 1
-                log.append(m)
+                log.append(m, flush=backend.waits)  # a killed run keeps every record measured at length
         except BaseException:  # the pool's threads would otherwise wait for their measurements
             backend.stop()
             raise
