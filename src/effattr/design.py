@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -98,34 +99,42 @@ class DesignPlan:
         each trial's compact text, one update per trial.
         """
         head = canonical_json(replace(self, trials=()).to_dict())
-        h = hashlib.sha256(head[: -len("]}")].encode("ascii"))
-        sep = ""
-        for text in _trial_texts(self.trials, _COMPACT):
-            h.update((sep + text).encode("ascii"))
-            sep = ","
+        texts = _trial_texts(self.trials, _COMPACT)
+        h = hashlib.sha256((head[: -len("]}")] + next(texts, ",")[1:]).encode("ascii"))  # the first one bare
+        for text in texts:
+            h.update(text.encode("ascii"))
         h.update(b"]}")
         return h.hexdigest()
 
 
-# The two forms of a trial's JSON text, keys sorted: its template up to the
-# replicate (arm, assignment, group, pair id), the template of its replicate
-# and seed, one assignment entry (name, label), and a nonempty assignment
-# around its entries joined by "," (an empty one is "{}" in both forms).
-_COMPACT = ('{"arm":%s,"assignment":%s,"group":%s,"pair_id":%s,"replicate":', '%d,"seed":%d}', "%s:%s", "{%s}")
+# The two forms of a trial's JSON text, keys sorted, led by the separator
+# that comes before it in a list (the list's first element drops the ","):
+# its template up to the replicate (arm, assignment, group, pair id), the
+# template of its replicate and seed, one assignment entry (name, label),
+# and a nonempty assignment around its entries joined by "," (an empty one
+# is "{}" in both forms).
+_COMPACT = (',{"arm":%s,"assignment":%s,"group":%s,"pair_id":%s,"replicate":', '%d,"seed":%d}', "%s:%s", "{%s}")
 _INDENT_1 = (  # an element of the "trials" list of ``indent=1`` JSON, at depth 2
-    '  {\n   "arm": %s,\n   "assignment": %s,\n   "group": %s,\n   "pair_id": %s,\n   "replicate": ',
+    ',\n  {\n   "arm": %s,\n   "assignment": %s,\n   "group": %s,\n   "pair_id": %s,\n   "replicate": ',
     '%d,\n   "seed": %d\n  }',
     "\n    %s: %s",
     "{%s\n   }",
 )
 
 
-def _trial_texts(trials: Iterable[Trial], form: tuple[str, str, str, str]) -> Iterator[str]:
-    """Each trial's JSON text in ``form``, as ``json.dumps`` spells it.
+_PREFIXES = 64  # unit texts that ``_trial_texts`` keeps at once
+_WRITE_BATCH = 64  # chunks of a plan's text per write of ``save_plan``
 
-    A unit's text up to the replicate is built once for all its replicates,
-    and each (factor, text label) entry once. Other labels are encoded every
-    time: ``True``, ``1`` and ``1.0`` are equal keys that encode differently.
+
+def _trial_texts(trials: Iterable[Trial], form: tuple[str, str, str, str]) -> Iterator[str]:
+    """Each trial's JSON text in ``form``, as ``json.dumps`` spells it, led
+    by its separator.
+
+    A unit's text up to the replicate is built once for all its replicates
+    that come within ``_PREFIXES`` units of each other (a builder writes
+    them one after another), and each (factor, text label) entry once.
+    Other labels are encoded every time: ``True``, ``1`` and ``1.0`` are
+    equal keys that encode differently.
     """
     head, tail, entry, block = form
     j = json_scalar
@@ -135,6 +144,8 @@ def _trial_texts(trials: Iterable[Trial], form: tuple[str, str, str, str]) -> It
         unit = (id(t.config), t.arm, t.group, t.pair_id)  # the trials keep each config alive
         prefix = prefixes.get(unit)
         if prefix is None:
+            if len(prefixes) == _PREFIXES:  # the texts kept stay small beside the plan's
+                prefixes.clear()
             texts = []
             for kv in sorted(t.config.assignment.items()):
                 text = entries.get(kv)
@@ -153,17 +164,21 @@ def plan_digest(plan: DesignPlan) -> str:
     return plan.plan_digest
 
 
-def plan_to_json(plan: DesignPlan) -> str:
-    """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``.
-
-    Everything but the trials goes through ``json.dumps``; the trials are
-    their ``indent=1`` texts.
-    """
+def _plan_json_chunks(plan: DesignPlan) -> Iterator[str]:
+    """The text of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``
+    in chunks, about a trial's text each: everything but the trials goes
+    through ``json.dumps``, the trials are their ``indent=1`` texts."""
     head = json.dumps(replace(plan, trials=()).to_dict(), sort_keys=True, indent=1)
     if not plan.trials:
-        return head
+        return iter((head,))
     # The head ends in '"trials": []\n}': "trials" sorts after every other key.
-    return head[: -len("[]\n}")] + "[\n" + ",\n".join(_trial_texts(plan.trials, _INDENT_1)) + "\n ]\n}"
+    texts = _trial_texts(plan.trials, _INDENT_1)
+    return chain((head[: -len("]\n}")] + next(texts)[1:],), texts, ("\n ]\n}",))
+
+
+def plan_to_json(plan: DesignPlan) -> str:
+    """The bytes of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``."""
+    return "".join(_plan_json_chunks(plan))
 
 
 # The kinds of a plan's fields and of each trial's, in the order of
@@ -271,6 +286,7 @@ def plan_from_dict(doc: Mapping[str, Any]) -> DesignPlan:
         if at != i:
             raise _malformed(f"trials[{i}]: repeats trials[{at}], replicate {replicate} of the same unit")
         trials.append(Trial(config, replicate, group, pair_id, arm, seed))
+    del columns  # before the trials are copied into the plan: peak memory
     if unwritten is not None:
         raise _malformed(unwritten[1])
     if bad < len(raw_trials):
@@ -290,11 +306,17 @@ def plan_from_json(text: str) -> DesignPlan:
 
 
 def save_plan(plan: DesignPlan, path: str | Path) -> None:
-    Path(path).write_text(plan_to_json(plan), encoding="utf-8")
+    """Write ``plan_to_json(plan)`` ``_WRITE_BATCH`` chunks at a time, never
+    the whole text at once."""
+    chunks = _plan_json_chunks(plan)
+    with open(path, "w", encoding="utf-8") as fh:  # one batch alive at a time
+        fh.writelines(iter(lambda: "".join(islice(chunks, _WRITE_BATCH)), ""))
 
 
+@gc_paused()
 def load_plan(path: str | Path) -> DesignPlan:
-    return plan_from_json(Path(path).read_text(encoding="utf-8"))
+    # The text is let go once parsed, before the trials are built: peak memory.
+    return plan_from_dict(parse_json(Path(path).read_text(encoding="utf-8"), PlanError, "plan document"))
 
 
 def require_replicates(r: int) -> None:

@@ -18,11 +18,13 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, NamedTuple
@@ -122,6 +124,8 @@ class LogHeader:
         }
 
 
+# Record lines per column pass of ``RunLog.load``.
+_LOAD_CHUNK = 1024
 _scan = json.JSONDecoder().scan_once  # ``json.loads`` of a document with no whitespace around it
 _JSON_SPACE = " \t\n\r"
 
@@ -177,8 +181,11 @@ class RunLog:
         data = path.read_bytes()
         # A last line without its newline is an append that was cut short.
         complete = data.rfind(b"\n") + 1
-        lines = data[:complete].decode("utf-8").splitlines()
+        text = str(memoryview(data)[:complete], "utf-8")  # decoded in place, not from a copy
         torn = data[complete:].decode("utf-8", errors="replace")
+        del data  # then the text, once split: peak memory
+        lines = text.splitlines()
+        del text
         if torn:
             lines.append(torn)
         if not lines:
@@ -194,27 +201,35 @@ class RunLog:
         )
         log = cls(header)
         log.path = path
-        # The records are read at once, by column, up to the first bad one;
-        # the first fault in line order is a duplicate key among them, or else
-        # that bad line, which the row reader words unless it is a torn last record.
-        at = [i for i in range(1, len(lines)) if lines[i].strip()]  # blank lines are skipped
-        records = _read_records([lines[i].strip(_JSON_SPACE) for i in at])
-        log._records = dict(zip(map(itemgetter(0, 1), records), records))
-        if len(log._records) < len(records):  # a duplicate key, which ``_add`` names
-            log._records = {}
-            for m in records:
-                log._add(m, write=False)
-        if len(records) < len(at):
-            i = at[len(records)]
-            try:
-                Measurement(*read(json.loads(lines[i]), _RECORD, ValueError))
-            except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
-                if torn and i == len(lines) - 1:
-                    print(f"warning: run log {path}:{i + 1}: dropped a torn last record", file=sys.stderr)
-                    log._reopen = (complete, "")
-                    return log
-                raise RunError(f"run log {path}:{i + 1}: malformed record: {exc}") from exc
-            raise RunError(f"run log {path}:{i + 1}: record read by row but not by column")  # readers at odds
+        # The records are read by column, a chunk of ``_LOAD_CHUNK`` lines at a
+        # time, up to the first bad one; the first fault in line order is a
+        # duplicate key among them, or else that bad line, which the row
+        # reader words unless it is a torn last record. A chunk's lines are
+        # let go as it is taken, and only its dicts are alive: peak memory.
+        n = len(lines)
+        for start in range(1, n, _LOAD_CHUNK):
+            chunk = lines[start : start + _LOAD_CHUNK]
+            lines[start : start + _LOAD_CHUNK] = repeat(None, len(chunk))
+            at = [j for j, line in enumerate(chunk) if line.strip()]  # blank lines are skipped
+            records = _read_records([chunk[j].strip(_JSON_SPACE) for j in at])
+            before = len(log._records)
+            log._records.update(zip(map(itemgetter(0, 1), records), records))
+            if len(log._records) < before + len(records):  # a duplicate key, which ``_add`` names
+                log._records = dict(islice(log._records.items(), before))  # the records of earlier chunks
+                for m in records:
+                    log._add(m, write=False)
+            if len(records) < len(at):
+                j = at[len(records)]
+                number = start + j + 1
+                try:
+                    Measurement(*read(json.loads(chunk[j]), _RECORD, ValueError))
+                except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
+                    if torn and number == n:
+                        print(f"warning: run log {path}:{number}: dropped a torn last record", file=sys.stderr)
+                        log._reopen = (complete, "")
+                        return log
+                    raise RunError(f"run log {path}:{number}: malformed record: {exc}") from exc
+                raise RunError(f"run log {path}:{number}: record read by row but not by column")  # readers at odds
         # A whole last record that lost only its newline gets it back.
         log._reopen = (None, "\n" if torn else "")
         return log
@@ -334,13 +349,19 @@ class SyntheticBackend(Backend):
         )
 
 
+# The bytes of a failed command's stderr kept in its failure reason, at most.
+_STDERR_TAIL = 512
+
+
 class ExternalBackend(Backend):
     """Run a shell command template; the measurement is the last stdout line.
 
     Placeholders ``{factor}`` are substituted with the level's opaque value
     payload. Nonzero exit, or output that is unparseable or not finite
-    (``nan``, ``inf``), yields a failed measurement.
-    Wall time is the command's elapsed seconds, for failed runs too.
+    (``nan``, ``inf``), yields a failed measurement; a nonzero exit's reason
+    ends in the last ``_STDERR_TAIL`` bytes of stderr. Wall time is the
+    seconds until the command itself exits, for failed runs too; what it
+    leaves running in the background is then ended.
     """
 
     name = "external"
@@ -366,32 +387,34 @@ class ExternalBackend(Backend):
 
     def measure(self, trial: Trial) -> Measurement:
         cmd = self.render(trial)
-        start = time.perf_counter()
-        # In a session of its own, the command's whole process group can be
-        # ended, its children too, where it times out or the run is interrupted.
-        with self._lock:
-            if self._stopped:  # a retry, or a trial of the pool, after an interrupt
-                return self._failed(trial, 0.0, "stopped")
-            proc = subprocess.Popen(
-                cmd, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
-            )
-            self._groups.add(proc.pid)
-        with proc:
+        # The output goes to files, not pipes, so that a child the command
+        # leaves running in the background cannot keep the measurement open.
+        with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile() as err:
+            start = time.perf_counter()
+            # In a session of its own, the command's whole process group can be
+            # ended, its children too, once it exits or times out, or where the
+            # run is interrupted.
+            with self._lock:
+                if self._stopped:  # a retry, or a trial of the pool, after an interrupt
+                    return self._failed(trial, 0.0, "stopped")
+                proc = subprocess.Popen(cmd, shell=True, stdout=out, stderr=err, start_new_session=True)
+                self._groups.add(proc.pid)
             try:
-                stdout = proc.communicate(timeout=self.timeout)[0]
-            except subprocess.TimeoutExpired:
-                stdout = None
+                exited = _exited(proc, self.timeout)
+                wall = time.perf_counter() - start
             finally:
                 with self._lock:
                     self._groups.discard(proc.pid)
-                if proc.returncode is None:
-                    _kill_group(proc.pid)
-                    proc.wait()
-        wall = time.perf_counter() - start
-        if stdout is None:
-            return self._failed(trial, wall, f"timeout after {self.timeout}s: {shlex.quote(cmd)}")
-        if proc.returncode != 0:
-            return self._failed(trial, wall, f"exit {proc.returncode}")
+                _kill_group(proc.pid)
+                proc.wait()
+            if not exited:
+                return self._failed(trial, wall, f"timeout after {self.timeout}s: {shlex.quote(cmd)}")
+            if proc.returncode != 0:
+                err.seek(max(0, err.seek(0, os.SEEK_END) - _STDERR_TAIL))
+                tail = err.read().decode("utf-8", errors="replace")
+                return self._failed(trial, wall, f"exit {proc.returncode}" + (f": {tail}" if tail else ""))
+            out.seek(0)
+            stdout = out.read()
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         if not lines:
             return self._failed(trial, wall, "no output")
@@ -428,6 +451,16 @@ class ExternalBackend(Backend):
             status="failed",
             reason=reason,
         )
+
+
+def _exited(proc: subprocess.Popen, timeout: float | None) -> bool:
+    """Whether ``proc`` exits within ``timeout`` seconds (None: no limit).
+    A thread waits for it, so the wait ends as the process does, where a
+    polled ``Popen.wait(timeout)`` could overrun by its poll interval."""
+    waiter = threading.Thread(target=proc.wait, daemon=True)
+    waiter.start()
+    waiter.join(timeout)
+    return not waiter.is_alive()
 
 
 def _kill_group(group: int) -> None:

@@ -32,7 +32,7 @@ from effattr import (
 )
 from effattr._util import digest
 from effattr.cli import main
-from effattr.design import DesignPlan, Trial, plan_digest, plan_from_json, plan_to_json
+from effattr.design import DesignPlan, Trial, plan_digest, plan_from_json, plan_to_json, save_plan
 from conftest import space_doc
 
 
@@ -79,15 +79,6 @@ def assert_round_trip(plan, text):
     assert len({id(t.config) for t in loaded.trials}) == len(shared)
 
 
-@pytest.mark.parametrize("r", [1, 3])
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_writer_equals_oracle_and_round_trips(builder, r):
-    plan = BUILDERS[builder](load_space(SPACE), r)
-    text = plan_to_json(plan)
-    assert text == oracle(plan)
-    assert_round_trip(plan, text)
-
-
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED_SPLIT = {
     "smt": {"low": ["smt_on"], "high": ["smt_off"]},
@@ -97,6 +88,54 @@ BUNDLED_SPLIT = {
     "opt_level": {"low": ["O1"], "high": ["O2", "O3"]},
     "threads": {"low": ["t1", "t2", "t4", "t8"], "high": ["t12", "t16", "t24", "t32"]},
 }
+BUNDLED_BUILDERS = {
+    "full": lambda s, r: full_factorial(s, r, seed=7),
+    "2kr": lambda s, r: factorial_2kr(s, BUNDLED_SPLIT, r, seed=7),
+    "2kr-stratified": lambda s, r: factorial_2kr(
+        s, {k: v for k, v in BUNDLED_SPLIT.items() if k != "workload"}, r, seed=7, stratify="workload"
+    ),
+    "rct": lambda s, r: rct_plan(s, "smt_on", "smt_off", n=10, r=r, seed=7),
+    "paired": lambda s, r: paired_plan(
+        s, "smt_off", "smt_on", simple_random_sample(s, ("DC",), 10, seed=7), r, seed=7
+    ),
+    "paired-stratified": lambda s, r: paired_plan(
+        s, "smt_off", "smt_on", stratified_sample(s, "workload", 10, seed=7), r, seed=7, stratum="workload"
+    ),
+    "paired-empty": lambda s, r: paired_plan(s, "smt_off", "smt_on", [], r, seed=7),
+}
+
+
+def shuffled(plan):
+    """The plan loaded back, its trials in a seeded random order."""
+    loaded = plan_from_json(plan_to_json(plan))
+    return dataclasses.replace(loaded, trials=tuple(random.Random(7).sample(loaded.trials, len(loaded.trials))))
+
+
+WRITER_INPUTS = {
+    **{f"{b}-{r}": lambda r=r, b=b: BUILDERS[b](load_space(SPACE), r) for b in BUILDERS for r in (1, 3)},
+    **{
+        f"{name}-{b}-{r}": lambda name=name, b=b, r=r: BUNDLED_BUILDERS[b](load_space_file(SCENARIOS / name), r)
+        for name in ("cpu_space.json", "cpu_space_complete.json")
+        for b in BUNDLED_BUILDERS
+        for r in (1, 3)
+    },
+    # More units than the writer keeps texts for, out of order.
+    "full-r3-loaded-shuffled": lambda: shuffled(full_factorial(load_space(SPACE), 3, seed=7)),
+    "cpu_space_complete.json-paired-r2-loaded-shuffled": lambda: shuffled(
+        BUNDLED_BUILDERS["paired"](load_space_file(SCENARIOS / "cpu_space_complete.json"), 2)
+    ),
+    "full-no-trials": lambda: dataclasses.replace(full_factorial(load_space(SPACE), 2, seed=7), trials=()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_INPUTS))
+def test_writer_equals_oracle_and_round_trips(case, tmp_path):
+    plan = WRITER_INPUTS[case]()
+    text = plan_to_json(plan)
+    assert text == oracle(plan)
+    save_plan(plan, tmp_path / "plan.json")
+    assert (tmp_path / "plan.json").read_bytes() == text.encode("utf-8")
+    assert_round_trip(plan, text)
 
 
 @pytest.mark.parametrize("seed", [7, 11])

@@ -50,6 +50,15 @@ from conftest import ended, running, space_doc
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def group_of(proc_dir):
+    """The process group of the process at ``/proc/<pid>``, or None once it
+    has been reaped."""
+    try:
+        return int((proc_dir / "stat").read_text().rsplit(")", 1)[1].split()[2])
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
 def make_trial(assignment, replicate=0, seed=123):
     return Trial(config=Configuration(assignment), replicate=replicate, seed=seed)
 
@@ -430,6 +439,35 @@ class TestExternalBackend:
             if pid is not None and running(pid):
                 os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_a_command_is_measured_to_its_own_exit_and_its_group_ended(self, tmp_path):
+        # The background child holds the command's stdout for 5 s.
+        cmd = f"sleep 5 & echo $! > {tmp_path / 'child'}; echo $$ > {tmp_path / 'group'}; echo 1.5"
+        child = None
+        try:
+            start = time.monotonic()
+            m = ExternalBackend(cmd, self.make_space()).measure(make_trial({"cpu": "ht_on", "w": "w0", "t": "t0"}))
+            elapsed = time.monotonic() - start
+            child, group = (int((tmp_path / name).read_text()) for name in ("child", "group"))
+            assert (m.status, m.value) == ("ok", 1.5)
+            assert m.wall_time <= elapsed < 2.5
+            assert ended([child], seconds=2)  # the child would sleep on for 5 s
+            members = [p.name for p in Path("/proc").iterdir() if p.name.isdigit() and group_of(p) == group]
+            assert not [pid for pid in members if running(pid)]
+        finally:
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
+
+    def test_a_failure_keeps_the_tail_of_stderr(self, tmp_path):
+        # 603 bytes; the last 512 begin inside a two-byte character.
+        data = ("é" * 300 + "end").encode("utf-8")
+        (tmp_path / "err").write_bytes(data)
+        trial = make_trial({"cpu": "ht_on", "w": "w0", "t": "t0"})
+        m = ExternalBackend(f"echo 1.0; cat {tmp_path / 'err'} >&2; exit 3", self.make_space()).measure(trial)
+        assert (m.status, m.reason) == ("failed", "exit 3: " + data[-512:].decode("utf-8", errors="replace"))
+        assert m.reason.startswith("exit 3: \ufffdé") and m.reason.endswith("éend")
+        assert ExternalBackend("echo 1.0; exit 3", self.make_space()).measure(trial).reason == "exit 3"
+
     def test_a_stopped_backend_starts_no_command(self, tmp_path):
         flag = tmp_path / "flag"
         backend = ExternalBackend(f"touch {flag}; echo 1.0", self.make_space())
@@ -744,3 +782,79 @@ class TestOneRecordReader:
         log.append(extra)
         log.close()
         assert path.read_bytes() == before + _record_json(extra).encode()
+
+
+def load_whole(path):
+    """``RunLog.load`` as one column pass over the whole list of lines, as it
+    read before logs were read in chunks: (records, warning, ``_reopen``), or
+    the error's text. The reference for the chunked reader."""
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    lines = data[:complete].decode("utf-8").splitlines()
+    torn = data[complete:].decode("utf-8", errors="replace")
+    if torn:
+        lines.append(torn)
+    at = [i for i in range(1, len(lines)) if lines[i].strip()]
+    records = runner._read_records([lines[i].strip(runner._JSON_SPACE) for i in at])
+    keyed = {}
+    for m in records:
+        key = (m.config_id, m.replicate)
+        if key in keyed:
+            return f"duplicate measurement for {key}"
+        keyed[key] = m
+    if len(records) < len(at):
+        i = at[len(records)]
+        try:
+            Measurement(*read(json.loads(lines[i]), _RECORD, ValueError))
+        except (ValueError, RecursionError) as exc:
+            if torn and i == len(lines) - 1:
+                warning = f"warning: run log {path}:{i + 1}: dropped a torn last record\n"
+                return list(keyed.values()), warning, (complete, "")
+            return f"run log {path}:{i + 1}: malformed record: {exc}"
+        return "the row reader accepts the record"
+    return list(keyed.values()), "", (None, "\n" if torn else "")
+
+
+def chunk_edge_cases():
+    """(records, fault, record index) for logs sized around the chunk of
+    ``RunLog.load``, with the fault on the first or last line of a chunk."""
+    c = runner._LOAD_CHUNK
+    cases = []
+    for n in (c - 1, c, c + 1, 2 * c + 1):
+        edges = sorted({j for k in range(0, n, c) for j in (k, k + c - 1)} & set(range(n)) | {n - 1})
+        cases += [(n, fault, j) for fault in ("malformed", "duplicate key") for j in edges]
+        cases += [(n, fault, n - 1) for fault in ("torn last record", "no last newline")]
+    return cases
+
+
+class TestChunkEdges:
+    @staticmethod
+    def good(i):
+        if i % 5 == 4:
+            return Measurement(f"c{i % 7}", i // 7, None, "external", 0.5, "failed", "exit 1")
+        return Measurement(f"c{i % 7}", i // 7, i * 0.25, "synthetic", 0.0)
+
+    @pytest.mark.parametrize("n,fault,j", chunk_edge_cases())
+    def test_the_chunked_reader_equals_the_whole_list_reading(self, tmp_path, n, fault, j):
+        lines = [_record_json(self.good(i))[:-1] for i in range(n)]
+        if fault == "malformed":
+            lines[j] = lines[j][: len(lines[j]) // 2]
+        elif fault == "duplicate key":
+            twin = self.good(j - 1 if j else 1)
+            lines[j] = _record_json(self.good(j)._replace(config_id=twin.config_id, replicate=twin.replicate))[:-1]
+        elif fault == "torn last record":
+            lines[j] = lines[j][: len(lines[j]) // 2]
+        header = json.dumps(TestRunLogTypes.HEADER, sort_keys=True)
+        ending = "" if fault in ("torn last record", "no last newline") else "\n"
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([header, *lines]) + ending)
+        expected = load_whole(path)
+        stderr = io.StringIO()
+        try:
+            with redirect_stderr(stderr):
+                log = RunLog.load(path)
+        except RunError as exc:
+            assert str(exc) == expected
+            return
+        assert (log.records, stderr.getvalue(), log._reopen) == expected
+        assert fault in ("torn last record", "no last newline")
