@@ -785,9 +785,9 @@ class TestOneRecordReader:
 
 
 def load_whole(path):
-    """``RunLog.load`` as one column pass over the whole list of lines, as it
-    read before logs were read in chunks: (records, warning, ``_reopen``), or
-    the error's text. The reference for the chunked reader."""
+    """``RunLog.load`` as one column pass over the whole list of lines:
+    (records, warning, ``_reopen``), or the error's text. The reference for
+    the reader that goes chunk by chunk."""
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1
     lines = data[:complete].decode("utf-8").splitlines()
