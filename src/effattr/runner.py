@@ -24,8 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Any, Iterable, NamedTuple
 
@@ -172,25 +171,40 @@ class RunLog:
         """Read a log file; it is reopened for appending on the first new record.
 
         A last record torn by an interrupted append (no newline, does not
-        parse) is dropped with a warning on stderr, and cut off the file
-        before anything is appended; any other malformed record, one with a
-        missing or mistyped field among them, raises ``RunError``. Reading
-        alone never changes the file.
+        parse or is not UTF-8) is dropped with a warning on stderr, and cut
+        off the file before anything is appended; any other malformed
+        record, one with a missing or mistyped field or a line that is not
+        UTF-8 among them, raises ``RunError`` naming its line. Reading
+        alone never changes the file. External command output, unlike a
+        log, is decoded with bad bytes replaced (``ExternalBackend``).
         """
         path = Path(path)
         data = path.read_bytes()
         # A last line without its newline is an append that was cut short.
         complete = data.rfind(b"\n") + 1
-        text = str(memoryview(data)[:complete], "utf-8")  # decoded in place, not from a copy
-        torn = data[complete:].decode("utf-8", errors="replace")
+        end = complete
+        try:
+            text = str(memoryview(data)[:end], "utf-8")  # decoded in place, not from a copy
+        except UnicodeDecodeError as exc:  # the lines before the first that is not UTF-8 are read
+            end = data.rfind(b"\n", 0, exc.start) + 1
+            text = str(memoryview(data)[:end], "utf-8")
+        last = data[end:].partition(b"\n")[0]  # the torn last line, or the first that is not UTF-8
+        torn = end == complete and last != b""
         del data  # then the text, once split: peak memory
         lines = text.splitlines()
         del text
-        if torn:
-            lines.append(torn)
-        if not lines:
+        fault = None  # the first malformed record, as (line number, error)
+        if last:
+            try:
+                lines.append(str(last, "utf-8"))
+            except UnicodeDecodeError as exc:
+                fault = len(lines) + 1, exc
+        n = len(lines) + (fault is not None)
+        if not n:
             raise RunError(f"run log {path} is empty")
         try:
+            if not lines:  # the header is the line that is not UTF-8
+                raise fault[1]  # type: ignore[index]
             head = json.loads(lines[0])
         except (ValueError, RecursionError) as exc:
             raise RunError(f"run log {path}: bad header line: {exc}") from exc
@@ -206,55 +220,54 @@ class RunLog:
         # duplicate key among them, or else that bad line, which the row
         # reader words unless it is a torn last record. A chunk's lines are
         # let go as it is taken, and only its dicts are alive: peak memory.
-        n = len(lines)
-        for start in range(1, n, _LOAD_CHUNK):
+        for start in range(1, len(lines), _LOAD_CHUNK):
             chunk = lines[start : start + _LOAD_CHUNK]
             lines[start : start + _LOAD_CHUNK] = repeat(None, len(chunk))
             at = [j for j, line in enumerate(chunk) if line.strip()]  # blank lines are skipped
             records = _read_records([chunk[j].strip(_JSON_SPACE) for j in at])
-            before = len(log._records)
-            log._records.update(zip(map(itemgetter(0, 1), records), records))
-            if len(log._records) < before + len(records):  # a duplicate key, which ``_add`` names
-                log._records = dict(islice(log._records.items(), before))  # the records of earlier chunks
-                for m in records:
-                    log._add(m, write=False)
+            for m in records:
+                log._add(m)
             if len(records) < len(at):
                 j = at[len(records)]
                 number = start + j + 1
                 try:
                     Measurement(*read(json.loads(chunk[j]), _RECORD, ValueError))
                 except (ValueError, RecursionError) as exc:  # bad or too deep JSON, a bad field, a bad value
-                    if torn and number == n:
-                        print(f"warning: run log {path}:{number}: dropped a torn last record", file=sys.stderr)
-                        log._reopen = (complete, "")
-                        return log
-                    raise RunError(f"run log {path}:{number}: malformed record: {exc}") from exc
+                    fault = number, exc
+                    break
                 raise RunError(f"run log {path}:{number}: record read by row but not by column")  # readers at odds
+        if fault is not None:
+            number, exc = fault
+            if torn and number == n:
+                print(f"warning: run log {path}:{number}: dropped a torn last record", file=sys.stderr)
+                log._reopen = (complete, "")
+                return log
+            raise RunError(f"run log {path}:{number}: malformed record: {exc}") from exc
         # A whole last record that lost only its newline gets it back.
         log._reopen = (None, "\n" if torn else "")
         return log
 
-    def _add(self, m: Measurement, write: bool) -> None:
+    def _add(self, m: Measurement) -> None:
         key = (m.config_id, m.replicate)
         if key in self._records:
             raise RunError(f"duplicate measurement for {key}")
         self._records[key] = m
-        if write and self._reopen is not None and self.path is not None:
+
+    def append(self, m: Measurement, flush: bool = False) -> None:
+        """Add ``m`` to the log and its file; with ``flush``, the record is
+        handed to the OS at once (a write, not an fsync)."""
+        self._add(m)
+        if self._reopen is not None and self.path is not None:
             cut, prefix = self._reopen
             self._reopen = None
             if cut is not None:
                 os.truncate(self.path, cut)
             self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write(prefix)
-        if write and self._fh is not None:
+        if self._fh is not None:
             self._fh.write(_record_json(m))
-
-    def append(self, m: Measurement, flush: bool = False) -> None:
-        """Add ``m`` to the log and its file; with ``flush``, the record is
-        handed to the OS at once (a write, not an fsync)."""
-        self._add(m, write=True)
-        if flush and self._fh is not None:
-            self._fh.flush()
+            if flush:
+                self._fh.flush()
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -357,9 +370,10 @@ class ExternalBackend(Backend):
     """Run a shell command template; the measurement is the last stdout line.
 
     Placeholders ``{factor}`` are substituted with the level's opaque value
-    payload. Nonzero exit, or output that is unparseable or not finite
-    (``nan``, ``inf``), yields a failed measurement; a nonzero exit's reason
-    ends in the last ``_STDERR_TAIL`` bytes of stderr. Wall time is the
+    payload. Output is decoded as UTF-8, bad bytes replaced. Nonzero exit,
+    or output that is unparseable or not finite (``nan``, ``inf``), yields
+    a failed measurement; a nonzero exit's reason ends in the last
+    ``_STDERR_TAIL`` bytes of stderr. Wall time is the
     seconds until the command itself exits, for failed runs too; what it
     leaves running in the background is then ended.
     """
@@ -382,14 +396,16 @@ class ExternalBackend(Backend):
         }
         try:
             return self.template.format(**values)
-        except (KeyError, IndexError) as exc:
+        except KeyError as exc:
             raise RunError(f"command template references unknown factor: {exc}") from exc
+        except (IndexError, AttributeError, TypeError, ValueError) as exc:  # ``{}``, ``{f.x}``, ``{f[x]}``, ``{f:y}``
+            raise RunError(f"command template {self.template!r}: {exc}") from exc
 
     def measure(self, trial: Trial) -> Measurement:
         cmd = self.render(trial)
         # The output goes to files, not pipes, so that a child the command
         # leaves running in the background cannot keep the measurement open.
-        with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile() as err:
+        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
             start = time.perf_counter()
             # In a session of its own, the command's whole process group can be
             # ended, its children too, once it exits or times out, or where the
@@ -414,7 +430,7 @@ class ExternalBackend(Backend):
                 tail = err.read().decode("utf-8", errors="replace")
                 return self._failed(trial, wall, f"exit {proc.returncode}" + (f": {tail}" if tail else ""))
             out.seek(0)
-            stdout = out.read()
+            stdout = out.read().decode("utf-8", errors="replace")
         lines = [ln for ln in stdout.splitlines() if ln.strip()]
         if not lines:
             return self._failed(trial, wall, "no output")

@@ -247,9 +247,8 @@ class ConfigSpace:
         default_factory=dict, init=False, repr=False, compare=False
     )
     cui_factor: Factor = field(init=False, repr=False, compare=False)
-    # By the CUI label an assignment holds (None: no known one), the exclusions it
-    # can extend, as (factor, label) sets: those naming no CUI label, then that one's.
-    _excludable: dict[str | None, tuple[frozenset[tuple[str, str]], ...]] = field(init=False, repr=False, compare=False)
+    # The exclusions as (factor, label) sets, in declaration order.
+    _excluded: tuple[frozenset[tuple[str, str]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.factors]
@@ -269,10 +268,7 @@ class ConfigSpace:
                     raise SpaceError(f"exclusions[{i}]: unknown factor {fname!r}")
                 if label not in by_name[fname].labels():
                     raise SpaceError(f"exclusions[{i}].{fname}: unknown level {label!r}")
-        sets = [(e.get(cui[0].name), frozenset(e.items())) for e in self.exclusions]
-        common = tuple(s for named, s in sets if named is None)
-        by_label = {lab: common + tuple(s for named, s in sets if named == lab) for lab in cui[0].labels()}
-        object.__setattr__(self, "_excludable", {None: common, **by_label})
+        object.__setattr__(self, "_excluded", tuple(frozenset(e.items()) for e in self.exclusions))
         if self.cartesian_size() < 1:
             raise SpaceError("empty space: exclusions cover every configuration")
 
@@ -295,10 +291,9 @@ class ConfigSpace:
 
     def is_valid(self, assignment: Mapping[str, str]) -> bool:
         # An assignment extends an exclusion iff it holds every excluded
-        # (factor, label) pair; absent factors never match, so only the
-        # exclusions that name no CUI label or the assignment's own can.
-        items, excludable = assignment.items(), self._excludable
-        return not any(items >= e for e in excludable.get(assignment.get(self.cui_factor.name), excludable[None]))
+        # (factor, label) pair; absent factors never match.
+        items = assignment.items()
+        return not any(items >= e for e in self._excluded)
 
     # -- counting -------------------------------------------------------
 

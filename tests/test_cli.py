@@ -395,6 +395,41 @@ class TestRunCommand:
         records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
         assert all(r["value"] == 4.5 for r in records)
 
+    def test_a_stray_byte_before_the_last_line_of_output_is_ignored(self, ws, capsys):
+        # It once ended the run: error: 'utf-8' codec can't decode byte 0xff, and a header-only log.
+        plan_path, log_path = self.plan(ws, capsys), ws["dir"] / "byte.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", "external:printf '\\377\\n'; echo 1.0", "--space", ws["space"],
+        )
+        assert (code, out, err) == (0, "16 new trials, 0 failed\n", "")
+        records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
+        assert len(records) == 16 and all(r["status"] == "ok" and r["value"] == 1.0 for r in records)
+
+    def test_a_stray_byte_on_the_last_line_of_output_fails_that_trial_only(self, ws, capsys):
+        plan_path, log_path = self.plan(ws, capsys), ws["dir"] / "byte.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path,
+            "--backend", "external:echo 1.0; if [ {cpu} = ht_on ]; then printf '\\377\\n'; fi", "--space", ws["space"],
+        )
+        assert (code, out, err) == (3, "16 new trials, 8 failed\n", f"8 failed trial(s) present in {log_path}\n")
+        records = [json.loads(line) for line in log_path.read_text().splitlines()[1:]]
+        failed = [r for r in records if r["status"] == "failed"]
+        assert len(records) == 16 and len(failed) == 8
+        assert {r["reason"] for r in failed} == {"unparseable output '�'"}
+        assert all(r["value"] == 1.0 for r in records if r["status"] == "ok")
+
+    @pytest.mark.parametrize("template", ["echo {cpu.foo}", "echo {cpu[a]}", "echo {}", "echo {cpu:d}"])
+    def test_a_template_that_cannot_be_formatted_is_a_domain_error(self, ws, capsys, template):
+        # {cpu.foo} once escaped as an AttributeError traceback, {cpu[a]} as a TypeError.
+        plan_path, log_path = self.plan(ws, capsys), ws["dir"] / "template.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--plan", plan_path, "--log", log_path, "--backend", f"external:{template}", "--space", ws["space"],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: command template {template!r}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "model,key",
         [('{"main_effects": 3}', "main_effects"), ('{"baseline": NaN}', "baseline")],

@@ -587,6 +587,61 @@ class TestRunLogFile:
             RunLog.load(bad)
 
 
+class TestLinesThatAreNotUtf8:
+    """A log line that is not UTF-8 is a malformed record, or a torn one
+    when it is the last line and has no newline."""
+
+    HEADER = b'{"backend": "synthetic", "kind": "runlog", "plan_digest": "p", "space_digest": "s", "unit": "seconds"}'
+
+    @staticmethod
+    def record(config_id):
+        """A record line whose configuration id has the bytes ``config_id``."""
+        return _record_json(Measurement("@", 0, 1.5, "synthetic", 0.0)).encode().replace(b"@", config_id)
+
+    def test_a_whole_line_is_a_malformed_record_named_by_its_line(self, tmp_path):
+        # It once raised a bare UnicodeDecodeError, with a position in the file but no path or line.
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(self.HEADER + b"\n" + self.record(b"c0") + self.record(b"c\xff") + self.record(b"c2"))
+        message = f"run log {path}:3: malformed record: 'utf-8' codec can't decode byte 0xff in position 40: "
+        with pytest.raises(RunError, match=re.escape(message)):
+            RunLog.load(path)
+
+    @pytest.mark.parametrize("ending", [b"\n", b""])
+    def test_a_header_that_is_not_utf8_is_a_bad_header_line(self, tmp_path, ending):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(self.HEADER[:-1] + b', "x": "\xff"}' + ending)
+        with pytest.raises(RunError, match=re.escape(f"run log {path}: bad header line: 'utf-8' codec can't decode")):
+            RunLog.load(path)
+
+    @pytest.mark.parametrize(
+        "before, message",
+        [
+            (b'{"config_id": 3}\n', "run log {path}:2: malformed record: "),
+            (record(b"c0"), "duplicate measurement for ('c0', 0)"),
+        ],
+        ids=["malformed record", "duplicate key"],
+    )
+    def test_the_lines_before_it_are_read_first(self, tmp_path, before, message):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(self.HEADER + b"\n" + before + self.record(b"c0") + self.record(b"c\xff"))
+        with pytest.raises(RunError, match=re.escape(message.format(path=path))):
+            RunLog.load(path)
+
+    def test_a_last_line_without_its_newline_is_a_torn_record(self, tmp_path, capsys):
+        # It was once read as a record of configuration "c\ufffd", and after a
+        # resume appended its newline the log could not be loaded at all.
+        path = tmp_path / "log.jsonl"
+        kept = self.HEADER + b"\n" + self.record(b"c0")
+        path.write_bytes(kept + self.record(b"c\xff")[:-1])
+        log = RunLog.load(path)
+        assert [m.config_id for m in log.records] == ["c0"]
+        assert capsys.readouterr().err == f"warning: run log {path}:3: dropped a torn last record\n"
+        log.append(Measurement("c1", 0, 1.5, "synthetic", 0.0))
+        log.close()
+        assert path.read_bytes() == kept + self.record(b"c1")
+        assert [m.config_id for m in RunLog.load(path).records] == ["c0", "c1"]
+
+
 class TestRunLogTypes:
     HEADER = {"kind": "runlog", "space_digest": "s", "plan_digest": "p", "backend": "synthetic", "unit": "seconds"}
     RECORD = {
