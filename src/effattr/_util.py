@@ -18,6 +18,11 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 # text (a label), so the joined text still has one reading per call site.
 _SEP = "\x1f"
 
+# Choices that the CLI's parser offers, kept here so that building it runs no layer.
+DEFAULT_TRIAL_BUDGET = 1_000_000  # most trials ``design.full_factorial`` builds by default
+AVERAGE_KINDS = ("arithmetic", "weighted", "geometric")  # ``stats.paired_effect``'s averages
+AGGREGATE_METHODS = ("mean", "median")  # ``runner.aggregate``'s methods
+
 
 @contextmanager
 def gc_paused() -> Iterator[None]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import signal
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from . import design, meta, runner, stats
-from ._util import Kind, gc_paused, parse_json, read
+from ._util import AGGREGATE_METHODS, AVERAGE_KINDS, DEFAULT_TRIAL_BUDGET, Kind, gc_paused, parse_json, read
 from .model import load_model_file
 from .space import ROLE_CUI, ROLE_DC, load_space_file
 
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_opts.add_argument("--seed", type=int, default=0, help="master seed for all randomized steps")
     methods = sub.add_parser("plan", help="emit a design plan").add_subparsers(dest="method", required=True)
     p = methods.add_parser("full", parents=[plan_opts], help="full factorial over the space")
-    p.add_argument("--budget", type=int, default=design.DEFAULT_TRIAL_BUDGET, help="most trials the plan may have")
+    p.add_argument("--budget", type=int, default=DEFAULT_TRIAL_BUDGET, help="most trials the plan may have")
     p = methods.add_parser("2kr", parents=[plan_opts], help="2^k r factorial over low/high blocks")
     p.add_argument("--split", required=True, help="low/high blocks as JSON")
     p.add_argument("--stratify", default=None, help="stratum factor name")
@@ -354,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = sub.add_parser("analyze", help="analyze a run log").add_subparsers(dest="what", required=True)
     p = kinds.add_parser("effect", parents=[analysis_opts], help="effect of a paired or rct plan")
     report(p, ("csv", "markdown", "plain"), "plain")
-    p.add_argument("--average", choices=stats.AVERAGE_KINDS, default=None, help="paired plans only; default arithmetic")
+    p.add_argument("--average", choices=AVERAGE_KINDS, default=None, help="paired plans only; default arithmetic")
     p.add_argument("--weights", default=None, help="JSON array of per-pair weights (--average weighted)")
     p.add_argument("--mu0", type=float, default=0.0)
-    p.add_argument("--aggregate", choices=runner.AGGREGATE_METHODS, default="median")
+    p.add_argument("--aggregate", choices=AGGREGATE_METHODS, default="median")
     p = kinds.add_parser("anova", parents=[analysis_opts], help="n-way ANOVA of a full plan")
     report(p, ("csv", "markdown"), "markdown")
 
@@ -394,6 +393,8 @@ def _terminate(signum: int, frame: object) -> None:
 
 
 def entry() -> None:  # pragma: no cover - console script shim
+    import signal
+
     # Only the command takes these signals over: ``main`` also runs inside other programs.
     for signum in (signal.SIGTERM, signal.SIGHUP):
         signal.signal(signum, _terminate)

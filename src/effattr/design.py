@@ -19,7 +19,17 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, canonical_json, derive_seed, gc_paused, json_scalar, parse_json, read, read_rows
+from ._util import (
+    DEFAULT_TRIAL_BUDGET,
+    Kind,
+    canonical_json,
+    derive_seed,
+    gc_paused,
+    json_scalar,
+    parse_json,
+    read,
+    read_rows,
+)
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 GROUP_SINGLE = "single"
@@ -31,7 +41,6 @@ ARM_A = "a"
 ARM_REF = "ref"
 
 _2KR_MAX_REDRAWS = 32
-DEFAULT_TRIAL_BUDGET = 1_000_000
 
 
 class PlanError(ValueError):

@@ -92,9 +92,13 @@ class Scenario:
                 cui.level(lab)
         except SpaceError as exc:
             raise ScenarioError(str(exc)) from exc
-        for m in self.methods:
+        names: dict[str, int] = {}  # a row's name, as reports print it: the first row of that name
+        for i, m in enumerate(self.methods):
             if m.kind not in METHOD_KINDS:
                 raise ScenarioError(f"unknown method kind {m.kind!r}")
+            first = names.setdefault(m.name, i)
+            if first != i:
+                raise ScenarioError(f"methods[{i}]: name {m.name!r} repeats methods[{first}]")
         # An rct run on one level is an A/A calibration check; a pair of one level is empty.
         if self.cui_a == self.cui_ref and any(m.kind == "paired" for m in self.methods):
             raise ScenarioError(

@@ -14,24 +14,21 @@ from __future__ import annotations
 import json
 import math
 import os
-import shlex
-import signal
-import subprocess
 import sys
-import tempfile
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Any, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Any, Iterable, NamedTuple
 
-from ._util import Kind, gc_paused, json_scalar, read, read_rows
+from ._util import AGGREGATE_METHODS, Kind, gc_paused, json_scalar, read, read_rows
 from .design import DesignPlan, Trial, plan_digest
 from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
+
+if TYPE_CHECKING:
+    import subprocess
 
 
 class RunError(ValueError):
@@ -402,6 +399,11 @@ class ExternalBackend(Backend):
             raise RunError(f"command template {self.template!r}: {exc}") from exc
 
     def measure(self, trial: Trial) -> Measurement:
+        import shlex  # this backend alone needs these four
+        import subprocess
+        import tempfile
+        import time
+
         cmd = self.render(trial)
         # The output goes to files, not pipes, so that a child the command
         # leaves running in the background cannot keep the measurement open.
@@ -480,6 +482,8 @@ def _exited(proc: subprocess.Popen, timeout: float | None) -> bool:
 
 
 def _kill_group(group: int) -> None:
+    import signal
+
     with suppress(ProcessLookupError):  # the group has ended
         os.killpg(group, signal.SIGKILL)
 
@@ -546,6 +550,8 @@ def run(
 
     failed = 0
     threaded = parallelism > 1 and backend.waits
+    if threaded:
+        from concurrent.futures import ThreadPoolExecutor  # imports ``logging``: only threaded runs pay for it
     with ThreadPoolExecutor(max_workers=parallelism) if threaded else nullcontext() as pool:
         try:
             for m in (pool.map if threaded else map)(attempt, todo):
@@ -560,8 +566,6 @@ def run(
 
 
 # -- aggregation -------------------------------------------------------------
-
-AGGREGATE_METHODS = ("mean", "median")
 
 
 def aggregate(values: Iterable[float], method: str = "median") -> float:

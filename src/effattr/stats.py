@@ -20,6 +20,7 @@ from itertools import repeat
 from operator import itemgetter, sub, truediv
 from typing import Callable, Hashable, Sequence
 
+from ._util import AVERAGE_KINDS  # noqa: F401  the averages ``paired_effect`` takes, importable here
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial, read_factors
 from .runner import RunLog, collapse
 from .space import Configuration
@@ -27,8 +28,6 @@ from .special import betainc_inv
 
 VERDICT_REJECT = "reject"
 VERDICT_FAIL_TO_REJECT = "fail_to_reject"
-
-AVERAGE_KINDS = ("arithmetic", "weighted", "geometric")
 
 _ANOVA_MAX_FACTORS = 6
 

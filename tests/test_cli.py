@@ -709,25 +709,59 @@ def test_other_errors_are_not_mapped_to_exit_codes(monkeypatch):
         main(["space", "size", "any.json"])
 
 
-def test_import_leaves_numpy_unloaded(ws):
-    # effattr needs no numpy: not to import, and not for an ANOVA either.
+_LAYERS = ("space", "design", "model", "runner", "stats", "meta")
+_HEAVY = ("subprocess", "concurrent.futures", "logging", "numpy")
+# Run in a fresh process: the CLI with the arguments given, if any, then the
+# layers that have run and the modules in ``_HEAVY`` that were imported. A
+# layer that has not run is still a lazy module; ``type`` does not load it.
+_BUDGET = f"""
+import json, sys, types, effattr, effattr.cli
+code = effattr.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+ran = [n for n in {_LAYERS!r} if type(sys.modules.get("effattr." + n)) is types.ModuleType]
+print(json.dumps([code, ran, [m for m in {_HEAVY!r} if m in sys.modules]]))
+"""
+
+
+@pytest.fixture
+def budget(ws):
+    """``(argv) -> (exit code, layers run, _HEAVY modules imported)`` in a fresh
+    process, with a paired and a full plan of ``ws`` and their logs at hand."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    plan, log = ws["dir"] / "full.json", ws["dir"] / "full.jsonl"
-    steps = [
-        ["plan", "full", "--space", ws["space"], "--plan-out", plan, "--r", "2"],
-        ["run", "--plan", plan, "--log", log, "--backend", f"synthetic:{ws['model']}"],
-        ["analyze", "anova", "--plan", plan, "--log", log, "--out", ws["dir"] / "table.md"],
-    ]
-    code = (
-        "import sys, effattr, effattr.cli; print('numpy' in sys.modules); "
-        f"print([effattr.cli.main(argv) for argv in {[[str(a) for a in step] for step in steps]!r}], "
-        "'numpy' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "[0, 0, 0] False")
-    assert (ws["dir"] / "table.md").read_text().startswith("| component |")
+    d = ws["dir"]
+    for method, extra in (("paired", ["--n", "5", "--cui-a", "ht_off", "--cui-ref", "ht_on"]), ("full", ["--r", "2"])):
+        assert main(["plan", method, "--space", str(ws["space"]), "--plan-out", str(d / f"{method}.json"), *extra]) == 0
+        assert main(["run", "--plan", str(d / f"{method}.json"), "--log", str(d / f"{method}.jsonl"),
+                     "--backend", f"synthetic:{ws['model']}"]) == 0
+
+    def measure(argv):
+        argv = [str(a).format(**ws) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _BUDGET, *argv], env=env, capture_output=True, text=True, check=True)
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    return measure
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        ([], ["space", "model"]),
+        (["space", "size", "{space}"], ["space", "model"]),
+        (["plan", "paired", "--space", "{space}", "--plan-out", "{dir}/p.json", "--n", 3, "--cui-a", "ht_off",
+          "--cui-ref", "ht_on"], ["space", "design", "model"]),
+        (["run", "--plan", "{dir}/paired.json", "--log", "{dir}/new.jsonl", "--backend", "synthetic:{model}"],
+         ["space", "design", "model", "runner"]),
+        (["analyze", "effect", "--plan", "{dir}/paired.json", "--log", "{dir}/paired.jsonl"],
+         ["space", "design", "model", "runner", "stats"]),
+        (["analyze", "anova", "--plan", "{dir}/full.json", "--log", "{dir}/full.jsonl"],
+         ["space", "design", "model", "runner", "stats"]),
+    ],
+    ids=["import", "space-size", "plan-paired", "run-synthetic", "analyze-effect", "analyze-anova"],
+)
+def test_a_step_runs_only_the_layers_it_uses(budget, argv, ran):
+    # ``cli`` itself touches ``space`` and ``model``; no step on synthetic
+    # inputs imports the external backend's modules, and none needs numpy.
+    assert budget(argv) == (0, ran, [])
 
 
 def accepted_options() -> dict[tuple[str, str | None], set[str]]:

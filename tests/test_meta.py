@@ -378,6 +378,22 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="unknown method kind"):
             load_scenario(json.dumps(doc))
 
+    def test_two_rows_of_one_name_rejected(self, tmp_path, capsys):
+        # The report names each row; two rows of one name could not be told apart.
+        doc = self.doc()
+        doc["methods"] = [{"kind": "rct", "n": 4}, {"kind": "paired", "n": 5, "r": 1}, {"kind": "paired", "n": 5, "r": 2}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["meta", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: methods[2]: name 'paired-5' repeats methods[1]\n"
+        doc["methods"][2]["label"] = "paired-5-r2"
+        assert [m.name for m in load_scenario(doc).methods] == ["rct-4", "paired-5", "paired-5-r2"]
+        doc["methods"][0]["label"] = "paired-5-r2"
+        with pytest.raises(ScenarioError, match=r"^methods\[2\]: name 'paired-5-r2' repeats methods\[0\]$"):
+            load_scenario(doc)
+
     def test_one_cui_level_on_both_sides_rejected_for_a_paired_row(self):
         doc = self.doc()
         doc["cui_a"] = "ht_on"
