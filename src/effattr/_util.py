@@ -1,5 +1,5 @@
-"""Canonical serialization, digests, seed derivation and the document
-field reader shared across modules."""
+"""Canonical serialization, digests, seed derivation, the document field
+reader and the checked-record base shared across modules."""
 
 from __future__ import annotations
 
@@ -37,6 +37,18 @@ def gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+class Checked:
+    """The first base of a named-tuple record whose ``__new__`` checks or
+    derives from its fields (``class Level(Checked, _LevelFields)``):
+    ``_make``, and so ``_replace``, build through that ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
 
 
 def canonical_json(obj: Any) -> str:

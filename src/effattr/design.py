@@ -13,7 +13,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
@@ -58,16 +57,24 @@ class Trial(NamedTuple):
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class DesignPlan:
-    """Immutable, reproducible plan: identical inputs give identical plans."""
-
+class _DesignPlanFields(NamedTuple):
     method: str
     trials: tuple[Trial, ...]
     r: int
     master_seed: int
     space_digest: str
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any]
+
+
+class DesignPlan(_DesignPlanFields):
+    """Immutable, reproducible plan: identical inputs give identical plans."""
+
+    def __new__(
+        cls, method: str, trials: tuple[Trial, ...], r: int, master_seed: int, space_digest: str,
+        metadata: Mapping[str, Any] | None = None,
+    ) -> "DesignPlan":
+        metadata = {} if metadata is None else metadata
+        return tuple.__new__(cls, (method, trials, r, master_seed, space_digest, metadata))
 
     @property
     def n_configs(self) -> int:
@@ -81,10 +88,7 @@ class DesignPlan:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "method": self.method,
-            "r": self.r,
-            "master_seed": self.master_seed,
-            "space_digest": self.space_digest,
+            **self._asdict(),
             "metadata": dict(self.metadata),
             "trials": [
                 {
@@ -107,7 +111,7 @@ class DesignPlan:
         before the empty list ("trials" sorts after every other key); then
         each trial's compact text, one update per trial.
         """
-        head = canonical_json(replace(self, trials=()).to_dict())
+        head = canonical_json(self._replace(trials=()).to_dict())
         texts = _trial_texts(self.trials, _COMPACT)
         h = hashlib.sha256((head[: -len("]}")] + next(texts, ",")[1:]).encode("ascii"))  # the first one bare
         for text in texts:
@@ -177,7 +181,7 @@ def _plan_json_chunks(plan: DesignPlan) -> Iterator[str]:
     """The text of ``json.dumps(plan.to_dict(), sort_keys=True, indent=1)``
     in chunks, about a trial's text each: everything but the trials goes
     through ``json.dumps``, the trials are their ``indent=1`` texts."""
-    head = json.dumps(replace(plan, trials=()).to_dict(), sort_keys=True, indent=1)
+    head = json.dumps(plan._replace(trials=()).to_dict(), sort_keys=True, indent=1)
     if not plan.trials:
         return iter((head,))
     # The head ends in '"trials": []\n}': "trials" sorts after every other key.

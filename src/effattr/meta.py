@@ -11,12 +11,11 @@ estimates the plan -> run -> analyze pipeline would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, assignment_id, derive_seed, derive_seeds, parse_json, read
+from ._util import Checked, Kind, assignment_id, derive_seed, derive_seeds, parse_json, read
 from .design import (
     DesignPlan,
     PlanError,
@@ -48,8 +47,7 @@ class ScenarioError(ValueError):
     """Raised for malformed or infeasible scenario documents."""
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(NamedTuple):
     kind: str
     n: int = 0
     r: int = 1
@@ -64,46 +62,53 @@ class MethodSpec:
         return f"{self.kind}-{self.n}" if self.n else self.kind
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
     space: ConfigSpace
     model: SyntheticModel
     cui_a: str
     cui_ref: str
-    alpha: float = 0.01
-    iterations: int = 10_000
-    master_seed: int = 0
-    methods: tuple[MethodSpec, ...] = ()
-    direction: str = "min"
-    aggregate: str = "median"
+    alpha: float
+    iterations: int
+    master_seed: int
+    methods: tuple[MethodSpec, ...]
+    direction: str
+    aggregate: str
 
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ScenarioError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ScenarioError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.direction not in ("min", "max"):
-            raise ScenarioError(f"direction must be 'min' or 'max', got {self.direction!r}")
-        if self.aggregate not in AGGREGATE_METHODS:
-            raise ScenarioError(f"aggregate must be 'median' or 'mean', got {self.aggregate!r}")
-        cui = self.space.cui_factor
+
+class Scenario(Checked, _ScenarioFields):
+    def __new__(
+        cls, space: ConfigSpace, model: SyntheticModel, cui_a: str, cui_ref: str, alpha: float = 0.01,
+        iterations: int = 10_000, master_seed: int = 0, methods: tuple[MethodSpec, ...] = (),
+        direction: str = "min", aggregate: str = "median",
+    ) -> "Scenario":
+        if iterations < 1:
+            raise ScenarioError(f"iterations must be >= 1, got {iterations}")
+        if not 0.0 < alpha < 1.0:
+            raise ScenarioError(f"alpha must be in (0, 1), got {alpha}")
+        if direction not in ("min", "max"):
+            raise ScenarioError(f"direction must be 'min' or 'max', got {direction!r}")
+        if aggregate not in AGGREGATE_METHODS:
+            raise ScenarioError(f"aggregate must be 'median' or 'mean', got {aggregate!r}")
+        cui = space.cui_factor
         try:
-            for lab in (self.cui_a, self.cui_ref):
+            for lab in (cui_a, cui_ref):
                 cui.level(lab)
         except SpaceError as exc:
             raise ScenarioError(str(exc)) from exc
         names: dict[str, int] = {}  # a row's name, as reports print it: the first row of that name
-        for i, m in enumerate(self.methods):
+        for i, m in enumerate(methods):
             if m.kind not in METHOD_KINDS:
                 raise ScenarioError(f"unknown method kind {m.kind!r}")
             first = names.setdefault(m.name, i)
             if first != i:
                 raise ScenarioError(f"methods[{i}]: name {m.name!r} repeats methods[{first}]")
         # An rct run on one level is an A/A calibration check; a pair of one level is empty.
-        if self.cui_a == self.cui_ref and any(m.kind == "paired" for m in self.methods):
+        if cui_a == cui_ref and any(m.kind == "paired" for m in methods):
             raise ScenarioError(
-                f"a paired method needs two different CUI levels, got cui_a={self.cui_a!r} and cui_ref={self.cui_ref!r}"
+                f"a paired method needs two different CUI levels, got cui_a={cui_a!r} and cui_ref={cui_ref!r}"
             )
+        fields = space, model, cui_a, cui_ref, alpha, iterations, master_seed, methods, direction, aggregate
+        return tuple.__new__(cls, fields)
 
     @cached_property
     def truth(self) -> float:
@@ -177,8 +182,7 @@ class ScenarioTable:
         return values[:r]
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
+class AccuracyRow(NamedTuple):
     method: str
     cost: int
     accuracy: float
@@ -186,8 +190,7 @@ class AccuracyRow:
     iterations: int
 
 
-@dataclass(frozen=True)
-class PitfallReport:
+class PitfallReport(NamedTuple):
     """Single fixed-configuration estimate vs. the population effect."""
 
     fixed_estimate: float
@@ -197,16 +200,14 @@ class PitfallReport:
     cui_ref: str
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     level: str
     tied: bool
     means: Mapping[str, float]
     direction: str
 
 
-@dataclass(frozen=True)
-class VariabilityReport:
+class VariabilityReport(NamedTuple):
     """Spread of a set of overall-effect readings under two conventions.
 
     Both normalizations are reported because neither is canonical: range

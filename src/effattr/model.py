@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import _random
 import threading
-from dataclasses import dataclass, field
 from math import cos, log, sqrt, tau
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
-from ._util import Kind, parse_json, read
+from ._util import Checked, Kind, parse_json, read
 from .space import ConfigSpace, Configuration, ROLE_DC, SpaceError
 
 
@@ -46,8 +45,15 @@ def gauss_noise(seed: int, sd: float) -> float:
     return 0.0 + cos(x2pi) * g2rad * sd
 
 
-@dataclass
-class SyntheticModel:
+class _SyntheticModelFields(NamedTuple):
+    baseline: float
+    main_effects: dict[tuple[str, str], float]
+    interactions: tuple[tuple[tuple[tuple[str, str], ...], float], ...]
+    noise_sd: float
+    unit: str
+
+
+class SyntheticModel(Checked, _SyntheticModelFields):
     """response = baseline + sum(main effects) + sum(interaction effects) + noise.
 
     Effects for unnamed (factor, level) pairs default to 0. An interaction
@@ -56,22 +62,18 @@ class SyntheticModel:
     mutable state and is safe under the GIL.
     """
 
-    baseline: float = 0.0
-    main_effects: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    interactions: tuple[tuple[tuple[tuple[str, str], ...], float], ...] = ()
-    noise_sd: float = 0.0
-    unit: str = "units"
-    _cache: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
-    # Each interaction's terms as a set of (factor, label) items, for ``_evaluate``.
-    _term_sets: tuple[tuple[frozenset[tuple[str, str]], float], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.noise_sd < 0:
+    def __new__(
+        cls, baseline: float = 0.0, main_effects: Mapping[tuple[str, str], float] | None = None,
+        interactions: tuple[tuple[tuple[tuple[str, str], ...], float], ...] = (), noise_sd: float = 0.0,
+        unit: str = "units",
+    ) -> "SyntheticModel":
+        if noise_sd < 0:
             raise ModelError("noise_sd must be >= 0")
-        self.main_effects = dict(self.main_effects)
-        self._term_sets = tuple((frozenset(terms), effect) for terms, effect in self.interactions)
+        self = tuple.__new__(cls, (baseline, dict(main_effects or {}), interactions, noise_sd, unit))
+        self._cache: dict[str, float] = {}
+        # Each interaction's terms as a set of (factor, label) items, for ``_evaluate``.
+        self._term_sets = tuple((frozenset(terms), effect) for terms, effect in interactions)
+        return self
 
     def response(self, config: Configuration) -> float:
         """Exact noise-free response for a total configuration, cached per id."""

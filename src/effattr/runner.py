@@ -17,12 +17,11 @@ import os
 import sys
 import threading
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, NamedTuple
 
-from ._util import AGGREGATE_METHODS, Kind, gc_paused, json_scalar, read, read_rows
+from ._util import AGGREGATE_METHODS, Checked, Kind, gc_paused, json_scalar, read, read_rows
 from .design import DesignPlan, Trial, plan_digest
 from .model import SyntheticModel, gauss_noise
 from .space import ConfigSpace
@@ -45,7 +44,7 @@ class _MeasurementFields(NamedTuple):
     reason: str | None
 
 
-class Measurement(_MeasurementFields):
+class Measurement(Checked, _MeasurementFields):
     """One trial's outcome: a finite value when ok, the reason when failed."""
 
     __slots__ = ()
@@ -66,10 +65,6 @@ class Measurement(_MeasurementFields):
         elif status != "failed":
             raise RunError(f"measurement status must be ok or failed, got {status!r}")
         return tuple.__new__(cls, (config_id, replicate, value, backend, wall_time, status, reason))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "Measurement":  # so that ``_replace`` checks too
-        return cls(*iterable)
 
     def to_dict(self) -> dict[str, Any]:
         return self._asdict()
@@ -103,21 +98,14 @@ _RECORD = {
 }
 
 
-@dataclass(frozen=True)
-class LogHeader:
+class LogHeader(NamedTuple):
     space_digest: str
     plan_digest: str
     backend: str
     unit: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "runlog",
-            "space_digest": self.space_digest,
-            "plan_digest": self.plan_digest,
-            "backend": self.backend,
-            "unit": self.unit,
-        }
+        return {"kind": "runlog", **self._asdict()}
 
 
 # Record lines per column pass of ``RunLog.load``.
@@ -491,8 +479,7 @@ def _kill_group(group: int) -> None:
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     executed: int
     skipped: int
     failed: int
@@ -520,11 +507,12 @@ def run(
     parallelism: int = 1,
     retry: int = 0,
 ) -> RunReport:
-    """Execute every trial not already in the log; append in plan order.
+    """Execute every trial not already in the log; append each as it ends.
 
     With ``parallelism`` > 1, up to that many trials of a waiting backend
-    (``Backend.waits``) run at once in threads; other backends measure in
-    the calling thread. ``retry`` re-attempts failed measurements within
+    (``Backend.waits``) run at once in threads, and are appended in the
+    order they finish; other backends measure in the calling thread, in
+    plan order. ``retry`` re-attempts failed measurements within
     this invocation before recording; failures already recorded in the
     log are never retried. Each record of a waiting backend reaches the OS
     before the next is appended; the log is fsynced at the end.
@@ -550,15 +538,21 @@ def run(
 
     failed = 0
     threaded = parallelism > 1 and backend.waits
-    if threaded:
-        from concurrent.futures import ThreadPoolExecutor  # imports ``logging``: only threaded runs pay for it
+    if threaded:  # ``concurrent.futures`` imports ``logging``: only threaded runs pay for it
+        from concurrent.futures import ThreadPoolExecutor, as_completed
     with ThreadPoolExecutor(max_workers=parallelism) if threaded else nullcontext() as pool:
         try:
-            for m in (pool.map if threaded else map)(attempt, todo):
+            if threaded:  # appended in the order the trials finish
+                ended = (f.result() for f in as_completed([pool.submit(attempt, t) for t in todo]))
+            else:
+                ended = map(attempt, todo)
+            for m in ended:
                 if m.status == "failed":
                     failed += 1
                 log.append(m, flush=backend.waits)  # a killed run keeps every record measured at length
         except BaseException:  # the pool's threads would otherwise wait for their measurements
+            if threaded:  # the trials still queued start none
+                pool.shutdown(wait=False, cancel_futures=True)
             backend.stop()
             raise
     log.flush()
@@ -579,7 +573,10 @@ def aggregate(values: Iterable[float], method: str = "median") -> float:
         i = n // 2
         return vals[i] if n % 2 else (vals[i - 1] + vals[i]) / 2
     if method == "mean":
-        return math.fsum(vals) / n
+        try:
+            return math.fsum(vals) / n
+        except OverflowError:
+            raise RunError("aggregate: the sum overflows") from None
     raise RunError(f"unknown aggregation method {method!r}")
 
 

@@ -8,12 +8,11 @@ a configuration is invalid if it extends any of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._util import Kind, assignment_id, digest, parse_json, read
+from ._util import Checked, Kind, assignment_id, digest, parse_json, read
 
 ROLE_CUI = "CUI"
 ROLE_DC = "DC"
@@ -26,58 +25,66 @@ class SpaceError(ValueError):
     """Raised for schema violations and invalid space definitions."""
 
 
-@dataclass(frozen=True)
-class Level:
+class _LevelFields(NamedTuple):
+    label: str
+    value: str
+    weight: float
+
+
+class Level(Checked, _LevelFields):
     """One discrete setting of a factor.
 
     ``value`` is an opaque payload handed to runners (flag text, a path,
     a thread count rendered as text); the space model never interprets it.
     """
 
-    label: str
-    value: str
-    weight: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __new__(cls, label: str, value: str, weight: float = 1.0) -> "Level":
+        if not label:
             raise SpaceError("level label must be nonempty")
-        if "\n" in self.label:
-            raise SpaceError(f"level {self.label!r}: label must not contain a newline")
-        if not math.isfinite(self.weight):
-            raise SpaceError(f"level {self.label!r}: weight must be finite")
-        if self.weight < 0:
-            raise SpaceError(f"level {self.label!r}: weight must be >= 0")
+        if "\n" in label:
+            raise SpaceError(f"level {label!r}: label must not contain a newline")
+        if not math.isfinite(weight):
+            raise SpaceError(f"level {label!r}: weight must be finite")
+        if weight < 0:
+            raise SpaceError(f"level {label!r}: weight must be >= 0")
+        return tuple.__new__(cls, (label, value, weight))
 
 
-@dataclass(frozen=True)
-class Factor:
-    """A named factor with ordered levels and a CUI/DC role."""
-
+class _FactorFields(NamedTuple):
     name: str
     role: str
     levels: tuple[Level, ...]
-    stratum: bool = False
+    stratum: bool
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class Factor(Checked, _FactorFields):
+    """A named factor with ordered levels and a CUI/DC role."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, role: str, levels: tuple[Level, ...], stratum: bool = False) -> "Factor":
+        if not name:
             raise SpaceError("factor name must be nonempty")
         # Configuration ids hash "name=label" lines (``assignment_id``); with
         # no '=' or newline in names and no newline in labels (``Level``),
         # that text, and so the id, has one reading.
-        if "=" in self.name or "\n" in self.name:
-            raise SpaceError(f"factor {self.name!r}: name must not contain '=' or a newline")
-        if self.role not in ALL_ROLES:
-            raise SpaceError(f"factor {self.name!r}: role must be CUI or DC, got {self.role!r}")
-        if not self.levels:
-            raise SpaceError(f"factor {self.name!r}: needs at least one level")
+        if "=" in name or "\n" in name:
+            raise SpaceError(f"factor {name!r}: name must not contain '=' or a newline")
+        if role not in ALL_ROLES:
+            raise SpaceError(f"factor {name!r}: role must be CUI or DC, got {role!r}")
+        if not levels:
+            raise SpaceError(f"factor {name!r}: needs at least one level")
         seen: set[str] = set()
-        for lv in self.levels:
+        for lv in levels:
             if lv.label in seen:
-                raise SpaceError(f"factor {self.name!r}: duplicate level label {lv.label!r}")
+                raise SpaceError(f"factor {name!r}: duplicate level label {lv.label!r}")
             seen.add(lv.label)
-        total = sum(lv.weight for lv in self.levels)
+        total = sum(lv.weight for lv in levels)
         if total <= 0:
-            raise SpaceError(f"factor {self.name!r}: at least one level must have weight > 0")
+            raise SpaceError(f"factor {name!r}: at least one level must have weight > 0")
+        return tuple.__new__(cls, (name, role, levels, stratum))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lv.label for lv in self.levels)
@@ -94,22 +101,29 @@ class Factor:
         return {lv.label: lv.weight / total for lv in self.levels}
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A total assignment over some set of factors, with a canonical id."""
+class _ConfigurationFields(NamedTuple):
+    assignment: dict[str, str]
+    id: str
 
-    assignment: Mapping[str, str]
-    id: str = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        assignment = dict(self.assignment)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "id", assignment_id(assignment))
+class Configuration(_ConfigurationFields):
+    """A total assignment over some set of factors, with its canonical id."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment: Mapping[str, str]) -> "Configuration":
+        assignment = dict(assignment)
+        return tuple.__new__(cls, (assignment, assignment_id(assignment)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Configuration":  # ``_replace`` re-derives the id
+        return cls(next(iter(iterable)))
+
+    def __getnewargs__(self) -> tuple[dict[str, str]]:  # ``pickle`` and ``copy`` rebuild through ``__new__``
+        return (self.assignment,)
 
     def extended(self, more: Mapping[str, str]) -> "Configuration":
-        merged = dict(self.assignment)
-        merged.update(more)
-        return Configuration(merged)
+        return Configuration({**self.assignment, **more})
 
 
 class ConfigPool:
@@ -237,30 +251,25 @@ class _Walk:
         return ConfigPool(self.names, tuple(rows), tuple(weights))
 
 
-@dataclass(frozen=True)
-class ConfigSpace:
-    """Validated, immutable configuration space."""
-
+class _ConfigSpaceFields(NamedTuple):
     factors: tuple[Factor, ...]
-    exclusions: tuple[Mapping[str, str], ...] = ()
-    _walks: dict[tuple[str, ...], _Walk] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    cui_factor: Factor = field(init=False, repr=False, compare=False)
-    # The exclusions as (factor, label) sets, in declaration order.
-    _excluded: tuple[frozenset[tuple[str, str]], ...] = field(init=False, repr=False, compare=False)
+    exclusions: tuple[Mapping[str, str], ...]
 
-    def __post_init__(self) -> None:
-        names = [f.name for f in self.factors]
+
+class ConfigSpace(Checked, _ConfigSpaceFields):
+    """Validated, immutable configuration space; ``cui_factor`` and the
+    caches beside the fields are set on construction."""
+
+    def __new__(cls, factors: tuple[Factor, ...], exclusions: tuple[Mapping[str, str], ...] = ()) -> "ConfigSpace":
+        names = [f.name for f in factors]
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SpaceError(f"duplicate factor names: {dupes}")
-        cui = [f for f in self.factors if f.role == ROLE_CUI]
+        cui = [f for f in factors if f.role == ROLE_CUI]
         if len(cui) != 1:
             raise SpaceError(f"exactly one factor must have role CUI, found {len(cui)}")
-        object.__setattr__(self, "cui_factor", cui[0])
-        by_name = {f.name: f for f in self.factors}
-        for i, excl in enumerate(self.exclusions):
+        by_name = {f.name: f for f in factors}
+        for i, excl in enumerate(exclusions):
             if not excl:
                 raise SpaceError(f"exclusions[{i}]: empty exclusion would void the space")
             for fname, label in excl.items():
@@ -268,9 +277,13 @@ class ConfigSpace:
                     raise SpaceError(f"exclusions[{i}]: unknown factor {fname!r}")
                 if label not in by_name[fname].labels():
                     raise SpaceError(f"exclusions[{i}].{fname}: unknown level {label!r}")
-        object.__setattr__(self, "_excluded", tuple(frozenset(e.items()) for e in self.exclusions))
+        self = tuple.__new__(cls, (factors, exclusions))
+        self.cui_factor = cui[0]
+        self._excluded = tuple(frozenset(e.items()) for e in exclusions)  # (factor, label) sets, in order
+        self._walks: dict[tuple[str, ...], _Walk] = {}  # by role set, built on first use
         if self.cartesian_size() < 1:
             raise SpaceError("empty space: exclusions cover every configuration")
+        return self
 
     # -- lookup ---------------------------------------------------------
 
@@ -373,18 +386,7 @@ class ConfigSpace:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "factors": [
-                {
-                    "name": f.name,
-                    "role": f.role,
-                    "stratum": f.stratum,
-                    "levels": [
-                        {"label": lv.label, "value": lv.value, "weight": lv.weight}
-                        for lv in f.levels
-                    ],
-                }
-                for f in self.factors
-            ],
+            "factors": [{**f._asdict(), "levels": [lv._asdict() for lv in f.levels]} for f in self.factors],
             "exclusions": [dict(e) for e in self.exclusions],
         }
 

@@ -10,15 +10,13 @@ point.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter, sub, truediv
-from typing import Callable, Hashable, Sequence
+from operator import itemgetter, mul, sub, truediv
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from ._util import AVERAGE_KINDS  # noqa: F401  the averages ``paired_effect`` takes, importable here
 from .design import ARM_A, ARM_REF, DesignPlan, GROUP_CONTROL, GROUP_TREATMENT, Trial, read_factors
@@ -43,10 +41,22 @@ class StatsError(ValueError):
 # -- scalar statistics -----------------------------------------------------
 
 
+def _finite(stage: str, compute: Callable[[], float]) -> float:
+    """``compute()``, refused with a ``StatsError`` naming ``stage`` where it
+    overflows (raises ``OverflowError`` or ends infinite or NaN)."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise StatsError(f"{stage} overflows")
+
+
 def sample_mean(xs: Sequence[float]) -> float:
     if len(xs) == 0:
         raise StatsError("sample_mean: empty sample")
-    return math.fsum(xs) / len(xs)
+    return _finite("sample_mean: the sum", lambda: math.fsum(xs) / len(xs))
 
 
 def sample_std(xs: Sequence[float]) -> float:
@@ -55,7 +65,9 @@ def sample_std(xs: Sequence[float]) -> float:
     if n < 2:
         raise StatsError("sample_std: needs at least 2 observations")
     m = sample_mean(xs)
-    return math.sqrt(math.fsum((x - m) ** 2 for x in xs) / (n - 1))
+    return _finite(
+        "sample_std: the sum of squared deviations", lambda: math.sqrt(math.fsum((x - m) ** 2 for x in xs) / (n - 1))
+    )
 
 
 def t_statistic(mean: float, mu0: float, s: float, n: int) -> float:
@@ -97,16 +109,14 @@ def f_quantile(alpha: float, df1: float, df2: float) -> float:
 # -- effect estimates --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffSample:
+class DiffSample(NamedTuple):
     """Per-pair differences between a CUI level and the reference level."""
 
     diffs: tuple[float, ...]
     unit: str = "units"
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
+class EffectEstimate(NamedTuple):
     """An effect difference with its test and interval.
 
     ``s`` is scaled so that ``s / sqrt(n)`` is the standard error of the
@@ -162,8 +172,11 @@ def _estimate(
     |t| >= t_crit: the two agree in exact arithmetic, and this way they
     also agree where rounding puts an endpoint on mu0. ``s`` defaults to
     ``se * sqrt(n)``; the one-sample test passes its sample deviation and
-    keeps its half-width as t * s / sqrt(n).
+    keeps its half-width as t * s / sqrt(n). An estimate or a standard
+    error that is not finite is refused.
     """
+    if not (math.isfinite(delta) and math.isfinite(se)):
+        raise StatsError(f"the effect estimate is not finite: delta_e={delta!r}, standard error={se!r}")
     t_crit = t_quantile(alpha / 2.0, df)
     if se == 0.0:
         t_val = 0.0 if delta == mu0 else math.copysign(math.inf, delta - mu0)
@@ -241,7 +254,7 @@ def paired_diffs(log: RunLog, plan: DesignPlan, aggregate: str = "median") -> Di
                 f"pair {pid!r}: each arm needs exactly one configuration, got {len(a)} in arm "
                 f"{ARM_A!r} and {len(ref)} in arm {ARM_REF!r}"
             )
-        diffs.append(a[0] - ref[0])
+        diffs.append(_finite(f"pair {pid!r}: the difference", lambda: a[0] - ref[0]))
     return DiffSample(diffs=tuple(diffs), unit=log.header.unit)
 
 
@@ -255,14 +268,14 @@ def _average(diffs: Sequence[float], kind: str, weights: Sequence[float] | None)
             raise StatsError(f"weights length {len(weights)} != diffs length {len(diffs)}")
         if any(w < 0 for w in weights):
             raise StatsError("weights must be nonnegative")
-        total = math.fsum(weights)
+        total = _finite("weighted average: the sum of weights", lambda: math.fsum(weights))
         if total <= 0:
             raise StatsError("weights must not all be zero")
-        return math.fsum(w * d for w, d in zip(weights, diffs)) / total
+        return _finite("weighted average: the weighted sum", lambda: math.fsum(map(mul, weights, diffs)) / total)
     if kind == "geometric":
         if any(d <= 0 for d in diffs):
             raise StatsError("geometric average requires all diffs > 0")
-        return math.exp(sample_mean([math.log(d) for d in diffs]))
+        return _finite("geometric average", lambda: math.exp(sample_mean([math.log(d) for d in diffs])))
     raise StatsError(f"unknown average kind {kind!r}")
 
 
@@ -283,8 +296,7 @@ def paired_effect(
     sample = paired_diffs(log, plan, aggregate)
     estimate = one_sample_ttest(sample, mu0=mu0, alpha=alpha)
     if average_kind != "arithmetic":
-        estimate = dataclasses.replace(
-            estimate,
+        estimate = estimate._replace(
             delta_e=_average(sample.diffs, average_kind, weights),
             average_kind=average_kind,
         )
@@ -324,13 +336,15 @@ def welch_estimate(
             raise StatsError(f"ate: {group} arm needs at least 2 configurations, has {len(xs)}")
     n1, n2 = len(xc), len(xt)
     delta = sample_mean(xt) - sample_mean(xc)
-    v1 = sample_std(xc) ** 2 / n1
+    v1 = sample_std(xc) ** 2 / n1  # at most the sum of squares that ``sample_std`` checked
     v2 = sample_std(xt) ** 2 / n2
     se = math.sqrt(v1 + v2)
     if se == 0.0:
         df = float(n1 + n2 - 2)
     else:
-        df = (v1 + v2) ** 2 / (v1**2 / (n1 - 1) + v2**2 / (n2 - 1))
+        df = _finite(
+            "ate: the Welch degrees of freedom", lambda: (v1 + v2) ** 2 / (v1**2 / (n1 - 1) + v2**2 / (n2 - 1))
+        )
     return _estimate(delta, se, df, n1 + n2, alpha, mu0, unit)
 
 
@@ -358,8 +372,9 @@ def factorial_contrast(
     delta = sample_mean([v for cell in high for v in cell]) - sample_mean(
         [v for cell in low for v in cell]
     )
-    within = math.fsum(
-        (v - sample_mean(cell)) ** 2 for side in (high, low) for cell in side for v in cell
+    within = _finite(
+        "factorial_2kr accuracy: the within-cell sum of squares",
+        lambda: math.fsum((v - sample_mean(cell)) ** 2 for side in (high, low) for cell in side for v in cell),
     )
     df = (n_high + n_low) * (r - 1)
     se = math.sqrt(within / df * (1.0 / (n_high * r) + 1.0 / (n_low * r)))
@@ -369,8 +384,7 @@ def factorial_contrast(
 # -- n-way ANOVA ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     component: tuple[str, ...]
     ss: float
     df: int
@@ -384,15 +398,13 @@ class AnovaRow:
         return "*".join(self.component)
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(NamedTuple):
     ss: float
     df: int
     pct: float
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(NamedTuple):
     rows: tuple[AnovaRow, ...]
     error_row: ErrorRow
     total_ss: float

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 import random
@@ -175,7 +174,7 @@ class TestStructure:
         log = new_log(plan, backend)
         run(plan, backend, log)
         trials = plan.trials[::-1] if order == "reversed" else sorted(plan.trials, key=lambda t: t.replicate)
-        assert repr(anova(log, dataclasses.replace(plan, trials=tuple(trials)))) == repr(anova(log, plan))
+        assert repr(anova(log, plan._replace(trials=tuple(trials)))) == repr(anova(log, plan))
 
     def test_unbalanced_named_in_any_trial_order(self, small_space, plain_model):
         plan = full_factorial(small_space, r=2, seed=0)
@@ -186,7 +185,7 @@ class TestStructure:
         del log._records[(gone.config.id, gone.replicate)]
         for trials in (plan.trials, plan.trials[::-1]):
             with pytest.raises(StatsError, match=f"missing ok measurement for {gone.config.id}/{gone.replicate}"):
-                anova(log, dataclasses.replace(plan, trials=trials))
+                anova(log, plan._replace(trials=trials))
 
     def test_space_exclusions_named_for_an_incomplete_grid(self):
         space = load_space_file(SCENARIOS / "cpu_space.json")
@@ -383,7 +382,7 @@ class TestLoadedPlanChecks:
         log = new_log(plan, backend)
         run(plan, backend, log)
         first = plan.trials[0]
-        edited = dataclasses.replace(plan, trials=(first._replace(replicate=2),) + plan.trials[1:])
+        edited = plan._replace(trials=(first._replace(replicate=2),) + plan.trials[1:])
         with pytest.raises(StatsError) as err:
             anova(log, edited)
         assert str(err.value) == f"anova: trial {first.config.id}/2 has a replicate outside 0..1"
@@ -397,7 +396,7 @@ class TestLoadedPlanChecks:
         run(plan, backend, log)
         factors = list(plan.metadata["factors"])
         factors.insert(1, {"name": "smt", "labels": ["smt_on"]})
-        edited = dataclasses.replace(plan, metadata={**plan.metadata, "factors": factors})
+        edited = plan._replace(metadata={**plan.metadata, "factors": factors})
         with pytest.raises(StatsError) as err:
             anova(log, edited)
         assert str(err.value) == "anova: metadata.factors[1].name: 'smt' repeats metadata.factors[0].name"
@@ -548,7 +547,7 @@ def numpy_anova(log, plan, alpha=0.01):
     def pct_of(ss):
         return 100.0 * ss / total_ss if total_ss > 0 else 0.0
 
-    rows = [dataclasses.replace(row, pct=pct_of(row.ss)) for row in rows]
+    rows = [row._replace(pct=pct_of(row.ss)) for row in rows]
     return AnovaTable(tuple(rows), ErrorRow(error_ss, error_df, pct_of(error_ss)), total_ss, alpha)
 
 
@@ -656,7 +655,7 @@ class TestNumpyOrder:
         run(plan, backend, log)
         factors = copy.deepcopy(plan.metadata["factors"])
         factors[1]["labels"].reverse()  # trials stay in the order of the space's labels
-        relabeled = dataclasses.replace(plan, metadata={**plan.metadata, "factors": factors})
+        relabeled = plan._replace(metadata={**plan.metadata, "factors": factors})
         assert repr(anova(log, relabeled)) == repr(numpy_anova(log, relabeled))
 
     def test_benchmark_grid_is_numpy_table(self):

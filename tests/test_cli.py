@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from effattr import (
+    Configuration,
     ModelError,
     PlanError,
     RunError,
@@ -710,7 +712,7 @@ def test_other_errors_are_not_mapped_to_exit_codes(monkeypatch):
 
 
 _LAYERS = ("space", "design", "model", "runner", "stats", "meta")
-_HEAVY = ("subprocess", "concurrent.futures", "logging", "numpy")
+_HEAVY = ("subprocess", "concurrent.futures", "logging", "numpy", "dataclasses", "inspect")
 # Run in a fresh process: the CLI with the arguments given, if any, then the
 # layers that have run and the modules in ``_HEAVY`` that were imported. A
 # layer that has not run is still a lazy module; ``type`` does not load it.
@@ -725,7 +727,8 @@ print(json.dumps([code, ran, [m for m in {_HEAVY!r} if m in sys.modules]]))
 @pytest.fixture
 def budget(ws):
     """``(argv) -> (exit code, layers run, _HEAVY modules imported)`` in a fresh
-    process, with a paired and a full plan of ``ws`` and their logs at hand."""
+    process, with a paired and a full plan of ``ws`` and their logs, and a
+    small scenario, at hand."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     d = ws["dir"]
@@ -733,6 +736,11 @@ def budget(ws):
         assert main(["plan", method, "--space", str(ws["space"]), "--plan-out", str(d / f"{method}.json"), *extra]) == 0
         assert main(["run", "--plan", str(d / f"{method}.json"), "--log", str(d / f"{method}.jsonl"),
                      "--backend", f"synthetic:{ws['model']}"]) == 0
+    methods = [{"kind": "paired", "n": 4, "r": 2}, {"kind": "rct", "n": 4, "r": 2}, {"kind": "factorial_2kr", "r": 2}]
+    (d / "scenario.json").write_text(json.dumps({
+        "space": json.loads(ws["space"].read_text()), "model": json.loads(ws["model"].read_text()),
+        "cui_a": "ht_off", "cui_ref": "ht_on", "iterations": 3, "methods": methods,
+    }))
 
     def measure(argv):
         argv = [str(a).format(**ws) for a in argv]
@@ -755,12 +763,14 @@ def budget(ws):
          ["space", "design", "model", "runner", "stats"]),
         (["analyze", "anova", "--plan", "{dir}/full.json", "--log", "{dir}/full.jsonl"],
          ["space", "design", "model", "runner", "stats"]),
+        (["meta", "--scenario", "{dir}/scenario.json"], list(_LAYERS)),
     ],
-    ids=["import", "space-size", "plan-paired", "run-synthetic", "analyze-effect", "analyze-anova"],
+    ids=["import", "space-size", "plan-paired", "run-synthetic", "analyze-effect", "analyze-anova", "meta"],
 )
 def test_a_step_runs_only_the_layers_it_uses(budget, argv, ran):
     # ``cli`` itself touches ``space`` and ``model``; no step on synthetic
-    # inputs imports the external backend's modules, and none needs numpy.
+    # inputs imports the external backend's modules, none needs numpy, and
+    # records are named tuples, so none imports ``dataclasses`` or ``inspect``.
     assert budget(argv) == (0, ran, [])
 
 
@@ -1085,3 +1095,103 @@ def test_a_killed_external_run_keeps_every_finished_trial(tmp_path, capsys, sig)
     assert len(keys) == len(set(keys)) == 40
     effects = [run_cli(capsys, "analyze", "effect", "--plan", plan, "--log", log, "--raw") for log in (whole, killed)]
     assert effects[0][0] == 0 and effects[0] == effects[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_threaded_run_logs_each_trial_as_it_finishes(tmp_path, capsys):
+    """One slow command in a threaded run: the trials that finish after it
+    started are logged at once, not behind it. A run killed while it waits
+    keeps them, and its resumed run analyses to what an uninterrupted run does."""
+    space = SCENARIOS / "cpu_space.json"
+    plan, lock, slow = tmp_path / "plan.json", tmp_path / "lock", tmp_path / "slow.pid"
+    assert run_cli(capsys, "plan", "rct", "--space", space, "--plan-out", plan, "--n", "6", "--seed", "7",
+                   "--control", "smt_on", "--treatment", "smt_off")[0] == 0
+    value = "echo {threads}.{smt}"
+    whole, killed = tmp_path / "whole.jsonl", tmp_path / "killed.jsonl"
+    assert run_cli(capsys, "run", "--plan", plan, "--log", whole, "--backend", f"external:{value}", "--space", space,
+                   "--parallelism", "2")[0] == 0
+    # The first command to start sleeps 5 s; the other five end at once.
+    backend = f"external:if mkdir {lock} 2>/dev/null; then echo $$ > {slow}; sleep 5; fi; {value}"
+    proc = cli_process("run", "--plan", plan, "--log", killed, "--backend", backend, "--space", space,
+                       "--parallelism", "2", stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 4
+        while time.monotonic() < deadline and (not killed.exists() or killed.read_text().count("\n") < 6):
+            time.sleep(0.02)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        if slow.exists():  # the slow command's own session outlives the run
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(int(slow.read_text()), signal.SIGKILL)
+            assert ended([int(slow.read_text())])
+    data = killed.read_text()
+    assert data.count("\n") == 6 and data.endswith("\n")  # the header and five records
+    assert run_cli(capsys, "run", "--plan", plan, "--log", killed, "--backend", backend, "--space", space,
+                   "--parallelism", "2")[0] == 0
+    keys = [(r["config_id"], r["replicate"]) for r in map(json.loads, killed.read_text().splitlines()[1:])]
+    assert len(keys) == len(set(keys)) == 6
+    effects = [run_cli(capsys, "analyze", "effect", "--plan", plan, "--log", log, "--raw") for log in (whole, killed)]
+    assert effects[0][0] == 0 and effects[0] == effects[1]
+
+
+class TestStatisticsThatOverflow:
+    """Values so large that a mean, a deviation or a difference overflows:
+    the effect path refuses them with one error line, where it used to let
+    an ``OverflowError`` escape or report an infinite or NaN estimate."""
+
+    @staticmethod
+    def huge_model(tmp_path):
+        """The SMT model with a main effect of 1e308 on one workload."""
+        doc = json.loads((SCENARIOS / "smt_model.json").read_text())
+        for effect in doc["main_effects"]:
+            if effect["level"] == "raytrace":
+                effect["effect"] = 1e308
+        path = tmp_path / "huge_model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def refused(result, message):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_an_rct_whose_mean_overflows_is_refused(self, tmp_path, capsys):
+        plan, log = tmp_path / "plan.json", tmp_path / "log.jsonl"
+        assert run_cli(capsys, "plan", "rct", "--space", SCENARIOS / "cpu_space.json", "--plan-out", plan, "--n", "20",
+                       "--r", "1", "--seed", "7", "--control", "smt_on", "--treatment", "smt_off")[0] == 0
+        assert run_cli(capsys, "run", "--plan", plan, "--log", log, "--backend",
+                       f"synthetic:{self.huge_model(tmp_path)}")[0] == 0
+        for extra in ([], ["--aggregate", "mean"]):
+            self.refused(run_cli(capsys, "analyze", "effect", "--plan", plan, "--log", log, *extra),
+                         "sample_mean: the sum overflows")
+
+    def test_pairs_whose_difference_overflows_are_refused(self, tmp_path, capsys):
+        plan, log = tmp_path / "plan.json", tmp_path / "log.jsonl"
+        assert run_cli(capsys, "plan", "paired", "--space", SCENARIOS / "cpu_space.json", "--plan-out", plan,
+                       "--n", "20", "--seed", "7", "--cui-a", "smt_off", "--cui-ref", "smt_on")[0] == 0
+        assert run_cli(capsys, "run", "--plan", plan, "--log", log, "--backend",
+                       f"synthetic:{SCENARIOS / 'smt_model.json'}")[0] == 0
+        # The a arm of the first two pairs at -1.7e308, their ref arm at +1.7e308.
+        arms = {}
+        for trial in json.loads(plan.read_text())["trials"]:
+            arms.setdefault(trial["pair_id"], {})[trial["arm"]] = Configuration(trial["assignment"]).id
+        huge = {}
+        for pair in list(arms)[:2]:
+            huge.update({arms[pair]["a"]: -1.7e308, arms[pair]["ref"]: 1.7e308})
+        lines = log.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            record["value"] = huge.get(record["config_id"], record["value"])
+        log.write_text("\n".join([lines[0], *(json.dumps(r, sort_keys=True) for r in records)]) + "\n")
+        self.refused(run_cli(capsys, "analyze", "effect", "--plan", plan, "--log", log, "--raw"),
+                     f"pair {next(iter(arms))!r}: the difference overflows")
+
+    def test_meta_refuses_the_same_model(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "smt_scenario.json").read_text())
+        doc["model"], doc["iterations"] = json.loads(self.huge_model(tmp_path).read_text()), 3
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        self.refused(run_cli(capsys, "meta", "--scenario", scenario),
+                     "method rct-20: sample_std: the sum of squared deviations overflows")

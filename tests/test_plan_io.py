@@ -4,7 +4,6 @@ the configurations a plan uses."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -108,7 +107,7 @@ BUNDLED_BUILDERS = {
 def shuffled(plan):
     """The plan loaded back, its trials in a seeded random order."""
     loaded = plan_from_json(plan_to_json(plan))
-    return dataclasses.replace(loaded, trials=tuple(random.Random(7).sample(loaded.trials, len(loaded.trials))))
+    return loaded._replace(trials=tuple(random.Random(7).sample(loaded.trials, len(loaded.trials))))
 
 
 WRITER_INPUTS = {
@@ -124,7 +123,7 @@ WRITER_INPUTS = {
     "cpu_space_complete.json-paired-r2-loaded-shuffled": lambda: shuffled(
         BUNDLED_BUILDERS["paired"](load_space_file(SCENARIOS / "cpu_space_complete.json"), 2)
     ),
-    "full-no-trials": lambda: dataclasses.replace(full_factorial(load_space(SPACE), 2, seed=7), trials=()),
+    "full-no-trials": lambda: full_factorial(load_space(SPACE), 2, seed=7)._replace(trials=()),
 }
 
 
@@ -312,8 +311,7 @@ def test_loader_rejects_a_paired_plan_of_one_cui_level(tmp_path, capsys):
     # a paired_plan without its two-level rule, holds them.
     space = load_space(SPACE)
     plan = BUILDERS["paired"](space, 2)
-    self_paired = dataclasses.replace(
-        plan,
+    self_paired = plan._replace(
         trials=tuple(t._replace(config=t.config.extended({"cpu": "ht_on"})) for t in plan.trials),
         metadata={**plan.metadata, "cui_a": "ht_on"},
     )

@@ -147,6 +147,7 @@ class TestRun:
 class TestThreads:
     def test_waiting_backend_measures_trials_concurrently(self, small_space):
         barrier = threading.Barrier(2, timeout=10)
+        finished, lock = [], threading.Lock()
 
         class Waiting(Backend):
             name = "waiting"
@@ -155,6 +156,14 @@ class TestThreads:
             def measure(self, trial):
                 barrier.wait()  # breaks unless two trials are being measured at once
                 time.sleep(0.001 * (trial.seed % 3))  # finish out of plan order
+                with lock:
+                    finished.append((trial.config.id, trial.replicate))
+                    place = len(finished) - 1
+                # Return only once every trial that finished earlier is logged,
+                # so that the order of ``finished`` is the order of completion.
+                deadline = time.monotonic() + 10
+                while len(log) < place and time.monotonic() < deadline:
+                    time.sleep(0.0005)
                 return Measurement(
                     config_id=trial.config.id,
                     replicate=trial.replicate,
@@ -169,9 +178,34 @@ class TestThreads:
         log = new_log(plan, backend)
         report = run(plan, backend, log, parallelism=2)
         assert report.executed == len(plan.trials) and report.failed == 0
-        assert [(m.config_id, m.replicate) for m in log.records] == [
-            (t.config.id, t.replicate) for t in plan.trials
-        ]
+        # Each record is appended as its trial finishes: in completion order, not plan order.
+        assert [(m.config_id, m.replicate) for m in log.records] == finished
+        assert finished != [(t.config.id, t.replicate) for t in plan.trials]
+
+    def test_an_interrupted_threaded_run_starts_no_queued_trial(self, small_space):
+        calls, released = [], threading.Event()
+
+        class Blocking(Backend):
+            name = "blocking"
+            unit = "seconds"
+
+            def measure(self, trial):
+                calls.append(trial)
+                if len(calls) == 1:
+                    raise KeyboardInterrupt
+                released.wait(10)  # in flight until the run stops the backend
+                return Measurement(trial.config.id, trial.replicate, 1.0, self.name, 0.0)
+
+            def stop(self):
+                released.set()
+
+        plan = full_factorial(small_space, r=2, seed=3)
+        backend = Blocking()
+        with pytest.raises(KeyboardInterrupt):
+            run(plan, backend, new_log(plan, backend), parallelism=2)
+        # The interrupted trial, the one in flight beside it, and at most one
+        # the interrupted thread took up before the queue was cancelled.
+        assert len(calls) <= 3 < len(plan.trials)
 
     def test_synthetic_backend_measures_on_the_calling_thread(self, small_space, plain_model):
         threads = set()
@@ -295,6 +329,10 @@ class TestAggregate:
     def test_unknown_method_rejected(self):
         with pytest.raises(RunError, match="unknown aggregation"):
             aggregate([1.0], "mode")
+
+    def test_a_mean_that_overflows_is_refused(self):
+        with pytest.raises(RunError, match="^aggregate: the sum overflows$"):
+            aggregate([1.7e308, 1.7e308], "mean")
 
     # Replicate values: signed zeros and magnitudes from 1e-300 to 1e300.
     VALUES = st.lists(

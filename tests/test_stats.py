@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -28,7 +27,7 @@ from effattr import (
     t_statistic,
 )
 from effattr.special import betainc_inv
-from effattr.stats import f_quantile, t_quantile
+from effattr.stats import _average, _estimate, f_quantile, factorial_contrast, t_quantile, welch_estimate
 
 
 class TestScalars:
@@ -189,8 +188,7 @@ class TestPairedEffect:
         # the plan is built in memory: both arms of every pair set cpu=ht_on.
         dc = simple_random_sample(small_space, ("DC",), 6, seed=1)
         plan = paired_plan(small_space, "ht_off", "ht_on", dc, r=2)
-        plan = dataclasses.replace(
-            plan,
+        plan = plan._replace(
             trials=tuple(t._replace(config=t.config.extended({"cpu": "ht_on"})) for t in plan.trials),
             metadata={**plan.metadata, "cui_a": "ht_on"},
         )
@@ -358,3 +356,43 @@ class TestAte:
         assert est.ci[0] == pytest.approx(est.delta_e - half, rel=1e-12)
         assert est.ci[1] == pytest.approx(est.delta_e + half, rel=1e-12)
         assert est.df < est.n - 2 + 1e-9  # Welch df never exceeds the pooled df
+
+
+class TestOverflow:
+    """No ``OverflowError`` leaves ``stats``: a statistic that overflows is
+    refused with a ``StatsError`` naming the stage."""
+
+    BIG = 1.7e308
+
+    @pytest.mark.parametrize(
+        "compute, message",
+        [
+            (lambda b: sample_mean([b, b]), "sample_mean: the sum overflows"),
+            (lambda b: sample_mean([-math.inf, 1.0]), "sample_mean: the sum overflows"),
+            (lambda b: sample_std([b, -b]), "sample_std: the sum of squared deviations overflows"),
+            (lambda b: sample_std([1e200, -1e200]), "sample_std: the sum of squared deviations overflows"),
+            (lambda b: _average([b, b], "weighted", [1.0, 1.0]), "weighted average: the weighted sum overflows"),
+            (lambda b: _average([1.0, 1.0], "weighted", [b, b]), "weighted average: the sum of weights overflows"),
+            (lambda b: welch_estimate([1e100, -1e100], [0.0, 1.0]), "ate: the Welch degrees of freedom overflows"),
+            (lambda b: factorial_contrast([[b, b]], [[0.0, 1.0]], 2), "sample_mean: the sum overflows"),
+            (lambda b: factorial_contrast([[1e160, -1e160]], [[0.0, 1.0]], 2),
+             "factorial_2kr accuracy: the within-cell sum of squares overflows"),
+        ],
+        ids=["mean", "mean-infinite", "std", "std-square", "weighted", "weights", "welch", "contrast-mean",
+             "contrast-within"],
+    )
+    def test_a_statistic_that_overflows_is_refused(self, compute, message):
+        with pytest.raises(StatsError) as caught:
+            compute(self.BIG)
+        assert str(caught.value) == message
+
+    def test_a_sum_whose_terms_cancel_is_kept(self):
+        assert _average([-self.BIG, self.BIG], "arithmetic", None) == 0.0  # ``fsum`` is exact
+
+    @pytest.mark.parametrize("delta, se", [(math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 0.0)])
+    def test_an_estimate_that_is_not_finite_is_refused(self, delta, se):
+        with pytest.raises(StatsError, match="the effect estimate is not finite"):
+            _estimate(delta, se, 5, 6, 0.01, 0.0, "units")
+
+    def test_a_zero_variance_estimate_keeps_its_infinite_t(self):
+        assert one_sample_ttest(DiffSample((1e300, 1e300))).t_value == math.inf
